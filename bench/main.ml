@@ -206,8 +206,10 @@ let microbenchmarks () =
       (Staged.stage (fun () ->
            pos := (!pos + 64) land 0x7FFF;
            ignore
-             (Tp_hw.Machine.access machine ~core:0 ~asid:1 ~vaddr:!pos
-                ~paddr:!pos ~kind:Tp_hw.Defs.Read ())))
+             (Tp_hw.Machine.access machine ~core:0 ~asid:1 ~global:false
+                ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+                ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:!pos ~paddr:!pos
+                ~kind:Tp_hw.Defs.Read)))
   in
   let b = Scenario.boot Scenario.Protected p in
   let sys = b.Tp_kernel.Boot.sys in

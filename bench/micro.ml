@@ -1,12 +1,18 @@
-(* Hot-path microbenchmarks (bechamel).
+(* Hot-path microbenchmarks (bechamel), in host ns/op and words/op.
 
    The per-access path — Cache.access_*fast, Tlb.access, Machine.access
-   — dominates every experiment's runtime, so this suite pins its cost
-   in host ns/op: run it before and after touching lib/hw to see what a
-   change does to simulator throughput.  The working set alternates
-   between an L1-resident sweep (hit path) and a strided sweep larger
-   than the cache (miss/evict path), with counters both off and on (the
-   off case must stay cheap: the hot path hoists the enabled check).
+   — dominates every experiment's runtime, so this suite pins its cost:
+   run it before and after touching lib/hw to see what a change does to
+   simulator throughput.  Machine.access is measured on each of its
+   paths (L1 hit, L1 miss / L2 hit, prefetching stream, LLC miss with a
+   page-table walk), with counters off and on (the off case must stay
+   cheap: the hot path hoists the enabled check).
+
+   One bechamel sample runs a batch of [batch] operations, and ns/op is
+   the per-sample estimate divided by the batch: timing a single
+   nanosecond-scale call per sample measures the clock read instead.
+   words/op comes from Gc.minor_words over a separate run of the same
+   batches, after warm-up; the per-access rows must read 0.
 
    Usage: micro.exe  (no arguments; haswell geometry) *)
 
@@ -14,75 +20,121 @@ open Bechamel
 open Toolkit
 
 let p = Tp_hw.Platform.haswell
+let line = p.Tp_hw.Platform.line
+
+(* An operation: [run n] performs the next [n] ops of its stream. *)
+type op = { name : string; batch : int; run : int -> unit }
 
 let make_cache () = Tp_hw.Cache.create ~name:"bench" p.Tp_hw.Platform.l1d
 
-let bench_cache_hit =
+let cache_op ~name ~bytes ~write ~alloc_ways =
   let c = make_cache () in
   let pos = ref 0 in
-  (* 16 KiB < 32 KiB L1: steady-state all hits. *)
-  Test.make ~name:"cache.access_fast hit"
-    (Staged.stage (fun () ->
-         pos := (!pos + 64) land 0x3FFF;
-         ignore (Tp_hw.Cache.access_fast c ~vaddr:!pos ~paddr:!pos ~write:false)))
+  let run n =
+    for _ = 1 to n do
+      pos := (!pos + line) land (bytes - 1);
+      ignore
+        (Tp_hw.Cache.access_masked_fast c ~alloc_ways ~vaddr:!pos ~paddr:!pos
+           ~write)
+    done
+  in
+  { name; batch = 1000; run }
 
-let bench_cache_miss =
-  let c = make_cache () in
-  let pos = ref 0 in
-  (* 4 MiB stride-64 sweep >> 32 KiB L1: steady-state all misses. *)
-  Test.make ~name:"cache.access_fast miss+evict"
-    (Staged.stage (fun () ->
-         pos := (!pos + 64) land 0x3FFFFF;
-         ignore (Tp_hw.Cache.access_fast c ~vaddr:!pos ~paddr:!pos ~write:true)))
-
-let bench_cache_masked =
-  let c = make_cache () in
-  let pos = ref 0 in
-  Test.make ~name:"cache.access_masked_fast (CAT mask)"
-    (Staged.stage (fun () ->
-         pos := (!pos + 64) land 0x3FFFFF;
-         ignore
-           (Tp_hw.Cache.access_masked_fast c ~alloc_ways:0x3 ~vaddr:!pos
-              ~paddr:!pos ~write:false)))
-
-let bench_tlb =
+let tlb_op =
   let t = Tp_hw.Tlb.create ~name:"bench" { Tp_hw.Tlb.entries = 64; ways = 4 } in
   let vpn = ref 0 in
-  Test.make ~name:"tlb.access"
-    (Staged.stage (fun () ->
-         vpn := (!vpn + 1) land 0x7F;
-         ignore (Tp_hw.Tlb.access t ~asid:1 ~vpn:!vpn ~global:false)))
+  let run n =
+    for _ = 1 to n do
+      vpn := (!vpn + 1) land 0x7F;
+      ignore (Tp_hw.Tlb.access t ~asid:1 ~vpn:!vpn ~global:false)
+    done
+  in
+  { name = "tlb.access"; batch = 1000; run }
 
-let bench_machine ~counters =
+(* Machine.access over a cyclic address stream; [walk] gives each
+   access real page-table lines (read on a TLB miss). *)
+let machine_op ~name ~counters ~addrs ~walk =
   let m = Tp_hw.Machine.create p in
-  let pos = ref 0 in
-  Test.make
-    ~name:
-      (Printf.sprintf "machine.access hit (counters %s)"
-         (if counters then "on" else "off"))
-    (Staged.stage (fun () ->
-         Tp_obs.Ctl.set_counters counters;
-         pos := (!pos + 64) land 0x3FFF;
-         ignore
-           (Tp_hw.Machine.access m ~core:0 ~asid:1 ~vaddr:!pos ~paddr:!pos
-              ~kind:Tp_hw.Defs.Read ())))
+  let n_addrs = Array.length addrs in
+  let i = ref 0 in
+  let pt_base = 96 * 1024 * 1024 in
+  let run n =
+    Tp_obs.Ctl.set_counters counters;
+    for _ = 1 to n do
+      let a = Array.unsafe_get addrs !i in
+      i := (!i + 1) mod n_addrs;
+      let vpn = Tp_hw.Defs.page_of a in
+      let pt_root =
+        if walk then pt_base + ((vpn lsr 9) land 511 * 8 / line * line)
+        else Tp_hw.Machine.no_walk
+      in
+      let pt_leaf =
+        if walk then pt_base + 4096 + ((vpn land 511) * 8 / line * line)
+        else Tp_hw.Machine.no_walk
+      in
+      ignore
+        (Tp_hw.Machine.access m ~core:0 ~asid:1 ~global:false
+           ~llc_ways:Tp_hw.Machine.all_ways ~pt_root ~pt_leaf ~vaddr:a ~paddr:a
+           ~kind:Tp_hw.Defs.Read)
+    done;
+    Tp_obs.Ctl.set_counters false
+  in
+  {
+    name =
+      Printf.sprintf "machine.access %s (counters %s)" name
+        (if counters then "on" else "off");
+    batch = 1000;
+    run;
+  }
 
-let bench_snapshot =
+let sweep ~bytes ~stride = Array.init (bytes / stride) (fun i -> i * stride)
+
+(* Pseudo-random lines over 64 MiB: far beyond the 8 MiB LLC. *)
+let random_lines =
+  let s = ref 12345 in
+  Array.init 65536 (fun _ ->
+      s := ((!s * 1103515245) + 12345) land 0x3FFF_FFFF;
+      !s mod (64 * 1024 * 1024 / line) * line)
+
+let machine_ops ~counters =
+  [
+    machine_op ~name:"hit" ~counters
+      ~addrs:(sweep ~bytes:(16 * 1024) ~stride:line)
+      ~walk:false;
+    (* A 2-line stride never confirms a stream: L1 misses, L2 hits, no
+       prefetches. *)
+    machine_op ~name:"L1 miss/L2 hit" ~counters
+      ~addrs:(sweep ~bytes:(128 * 1024) ~stride:(2 * line))
+      ~walk:false;
+    machine_op ~name:"prefetching stream" ~counters
+      ~addrs:(sweep ~bytes:(4 * 1024 * 1024) ~stride:line)
+      ~walk:false;
+    machine_op ~name:"LLC miss + walk" ~counters ~addrs:random_lines ~walk:true;
+  ]
+
+let snapshot_op =
   let m = Tp_hw.Machine.create p in
-  Test.make ~name:"machine.snapshot"
-    (Staged.stage (fun () -> ignore (Tp_hw.Machine.snapshot m)))
+  let run n =
+    for _ = 1 to n do
+      ignore (Tp_hw.Machine.snapshot m)
+    done
+  in
+  { name = "machine.snapshot"; batch = 1; run }
 
-let bench_restore =
+let restore_op =
   let m = Tp_hw.Machine.create p in
   let snap = Tp_hw.Machine.snapshot m in
-  Test.make ~name:"machine.restore"
-    (Staged.stage (fun () -> Tp_hw.Machine.restore m snap))
+  let run n =
+    for _ = 1 to n do
+      Tp_hw.Machine.restore m snap
+    done
+  in
+  { name = "machine.restore"; batch = 1; run }
 
-(* Cost of one replayed op, amortised over a 64-access stream: the
-   per-op figure the >=5x sweep-throughput floor rests on. *)
-let replay_ops = 64
-
-let bench_replay_step =
+(* One replayed op, amortised over a 64-access stream: the per-op
+   figure the >=5x sweep-throughput floor rests on. *)
+let replay_op =
+  let replay_ops = 64 in
   let m = Tp_hw.Machine.create p in
   let r = Tp_hw.Replay.create () in
   for i = 0 to replay_ops - 1 do
@@ -92,48 +144,64 @@ let bench_replay_step =
       ~root_pa:0 ~leaf_pa:(-1)
   done;
   Tp_hw.Replay.append_idle r;
-  Test.make ~name:(Printf.sprintf "replay.step (x%d)" replay_ops)
-    (Staged.stage (fun () ->
-         ignore
-           (Tp_hw.Replay.replay m ~core:0 ~asid:1 ~llc_ways:(lnot 0)
-              ~until:max_int r)))
-
-let () =
-  let tests =
-    [
-      bench_cache_hit;
-      bench_cache_miss;
-      bench_cache_masked;
-      bench_tlb;
-      bench_machine ~counters:false;
-      bench_machine ~counters:true;
-      bench_snapshot;
-      bench_restore;
-      bench_replay_step;
-    ]
+  let run n =
+    for _ = 1 to n / replay_ops do
+      ignore
+        (Tp_hw.Replay.replay m ~core:0 ~asid:1 ~llc_ways:(lnot 0)
+           ~until:max_int r)
+    done
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let instances = Instance.[ monotonic_clock ] in
+  { name = "replay.step"; batch = 64 * replay_ops; run }
+
+let ops =
+  [
+    cache_op ~name:"cache.access_fast hit" ~bytes:(16 * 1024) ~write:false
+      ~alloc_ways:max_int;
+    cache_op ~name:"cache.access_fast miss+evict" ~bytes:(4 * 1024 * 1024)
+      ~write:true ~alloc_ways:max_int;
+    cache_op ~name:"cache.access_masked_fast (CAT mask)"
+      ~bytes:(4 * 1024 * 1024) ~write:false ~alloc_ways:0x3;
+    tlb_op;
+  ]
+  @ machine_ops ~counters:false
+  @ machine_ops ~counters:true
+  @ [ snapshot_op; restore_op; replay_op ]
+
+let ns_per_op op =
+  let test =
+    Test.make ~name:op.name (Staged.stage (fun () -> op.run op.batch))
+  in
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
+  let raw =
+    Benchmark.run cfg Instance.[ monotonic_clock ] (List.hd (Test.elements test))
+  in
+  match
+    Analyze.OLS.estimates (Analyze.one ols Instance.monotonic_clock raw)
+  with
+  | Some (v :: _) -> Printf.sprintf "%.1f" (v /. float_of_int op.batch)
+  | _ -> "n/a"
+
+let words_per_op op =
+  op.run op.batch;
+  let reps = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    op.run op.batch
+  done;
+  let w = Gc.minor_words () -. before in
+  Printf.sprintf "%.1f" (w /. float_of_int (reps * op.batch))
+
+let () =
   let table =
     Tp_util.Table.create ~title:"Simulator hot-path costs"
-      ~headers:[ "operation"; "ns/op" ]
+      ~headers:[ "operation"; "ns/op"; "words/op" ]
   in
   List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some (v :: _) -> Printf.sprintf "%.1f" v
-            | _ -> "n/a"
-          in
-          Tp_util.Table.add_row table [ Test.Elt.name elt; ns ])
-        (Test.elements test))
-    tests;
-  Tp_obs.Ctl.set_counters false;
+    (fun op ->
+      let words = words_per_op op in
+      Tp_util.Table.add_row table [ op.name; ns_per_op op; words ])
+    ops;
   Tp_util.Table.print table

@@ -588,8 +588,9 @@ let cmd_faults =
           for i = 0 to 63 do
             ignore
               (Tp_hw.Machine.access m ~core:0 ~asid:0 ~global:false
-                 ~vaddr:(i * 4096) ~paddr:(i * 4096) ~kind:Tp_hw.Defs.Read
-                 () : int)
+                 ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+                 ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:(i * 4096)
+                 ~paddr:(i * 4096) ~kind:Tp_hw.Defs.Read : int)
           done
         in
         let snap = Tp_hw.Machine.snapshot m in

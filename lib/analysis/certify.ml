@@ -438,8 +438,9 @@ let attacker_turn m ~core tiny =
     for i = 0 to lines - 1 do
       let a = base + (i * tiny.P.line) in
       obs :=
-        Tp_hw.Machine.access m ~core ~asid:1 ~vaddr:a ~paddr:a
-          ~kind:Tp_hw.Defs.Read ()
+        Tp_hw.Machine.access m ~core ~asid:1 ~global:false
+          ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+          ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:a ~paddr:a ~kind:Tp_hw.Defs.Read
         :: !obs
     done
   done;
@@ -469,8 +470,9 @@ let neighbour_turn m ~core tiny =
   for i = 0 to lines - 1 do
     let a = base + (i * tiny.P.line) in
     ignore
-      (Tp_hw.Machine.access m ~core ~asid:2 ~vaddr:a ~paddr:a
-         ~kind:Tp_hw.Defs.Read ())
+      (Tp_hw.Machine.access m ~core ~asid:2 ~global:false
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:a ~paddr:a ~kind:Tp_hw.Defs.Read)
   done;
   for i = 0 to 1 do
     let a = base + (2 * Tp_hw.Defs.page_size) + (i * 64) in

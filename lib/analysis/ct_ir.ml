@@ -240,7 +240,9 @@ let execute ?arrays_at ?(code_at = code_base) m ~core p ~inputs =
   in
   let mem_access a kind =
     ignore
-      (Tp_hw.Machine.access m ~core ~asid:0 ~vaddr:a ~paddr:a ~kind ())
+      (Tp_hw.Machine.access m ~core ~asid:0 ~global:false
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:a ~paddr:a ~kind)
   in
   let branch site taken =
     let va = code_at + (site * 64) in

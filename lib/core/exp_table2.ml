@@ -19,8 +19,10 @@ let dirty_l1 sys ~core =
   for i = 0 to (g.Tp_hw.Cache.size / g.Tp_hw.Cache.line) - 1 do
     let a = 0x0100_0000 + (i * g.Tp_hw.Cache.line) in
     ignore
-      (Tp_hw.Machine.access m ~core ~asid:0 ~global:true ~vaddr:a ~paddr:a
-         ~kind:Tp_hw.Defs.Write ())
+      (Tp_hw.Machine.access m ~core ~asid:0 ~global:true
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:a ~paddr:a
+         ~kind:Tp_hw.Defs.Write)
   done
 
 (* Time one pass of an application over a working set of [bytes]. *)
@@ -33,8 +35,9 @@ let pass sys dom ~buf ~bytes =
     let vaddr = buf + (i * line) in
     let paddr = System.translate vs vaddr in
     ignore
-      (Tp_hw.Machine.access m ~core:0 ~asid:vs.Types.vs_asid ~vaddr ~paddr
-         ~kind:Tp_hw.Defs.Read ())
+      (Tp_hw.Machine.access m ~core:0 ~asid:vs.Types.vs_asid ~global:false
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr ~paddr ~kind:Tp_hw.Defs.Read)
   done;
   System.now sys ~core:0 - t0
 

@@ -29,18 +29,24 @@ let fork_exec_cost b dom =
   for i = 0 to (process_image_bytes / line) - 1 do
     let sv = src + (i * line) and dv = dst + (i * line) in
     ignore
-      (Tp_hw.Machine.access m ~core:0 ~asid:vs.Types.vs_asid ~vaddr:sv
-         ~paddr:(System.translate vs sv) ~kind:Tp_hw.Defs.Read ());
+      (Tp_hw.Machine.access m ~core:0 ~asid:vs.Types.vs_asid ~global:false
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:sv
+         ~paddr:(System.translate vs sv) ~kind:Tp_hw.Defs.Read);
     ignore
-      (Tp_hw.Machine.access m ~core:0 ~asid:vs.Types.vs_asid ~vaddr:dv
-         ~paddr:(System.translate vs dv) ~kind:Tp_hw.Defs.Write ())
+      (Tp_hw.Machine.access m ~core:0 ~asid:vs.Types.vs_asid ~global:false
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:dv
+         ~paddr:(System.translate vs dv) ~kind:Tp_hw.Defs.Write)
   done;
   (* Page-table population: a PTE write per page plus kernel metadata. *)
   for i = 0 to pages - 1 do
     let pte = 0x0200_0000 + (i * 8) in
     ignore
-      (Tp_hw.Machine.access m ~core:0 ~asid:0 ~global:true ~vaddr:pte ~paddr:pte
-         ~kind:Tp_hw.Defs.Write ())
+      (Tp_hw.Machine.access m ~core:0 ~asid:0 ~global:true
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:pte ~paddr:pte
+         ~kind:Tp_hw.Defs.Write)
   done;
   (* Syscall overheads of fork + execve + loader fixups. *)
   Tp_hw.Machine.add_cycles m ~core:0 (Syscalls.trap_cost * 12);

@@ -116,12 +116,14 @@ let find_way t set tag =
       else if Array.unsafe_get tags (base + 7) = tag then base + 7
       else -1
   | ways ->
-      let rec go w =
-        if w = ways then -1
-        else if Array.unsafe_get tags (base + w) = tag then base + w
-        else go (w + 1)
-      in
-      go 0
+      (* A plain loop, not a local recursive function: a closure here
+         would allocate on every probe of the 16-way LLCs. *)
+      let stop = base + ways in
+      let i = ref base in
+      while !i < stop && Array.unsafe_get tags !i <> tag do
+        incr i
+      done;
+      if !i < stop then !i else -1
 
 (* LRU victim within the ways allowed by [mask] (a bitmask over way
    indices).  The first invalid allowed way wins outright — LRU order

@@ -56,6 +56,25 @@ let counters t = t.st
 let set_mode t m = t.mode <- m
 let set_partitioned t b = t.mode <- (if b then Partitioned else Open)
 
+(* Queueing delay from the summed offered rates of the cores whose
+   current activity run covers this instant: a run is
+   [run_start, last], padded by the queue-drain window on both sides.
+   A top-level loop rather than a local closure, and an int result
+   rather than a float one, so a bus transaction allocates nothing. *)
+let contention_delay t ~core ~now =
+  let live = ref 0.0 in
+  for j = 0 to t.cores - 1 do
+    if
+      j = core
+      || (t.last.(j) >= 0
+         && now >= t.run_start.(j) - active_window
+         && now <= t.last.(j) + active_window)
+    then live := !live +. t.rate.(j)
+  done;
+  let overload = !live -. t.service in
+  if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
+  else 0
+
 (* Cores have independent clocks, so each core's issue rate is derived
    from its own inter-transaction gaps; the queueing delay of a
    transaction grows with the total offered rate beyond the bus's
@@ -79,21 +98,6 @@ let record t ~core ~now =
     t.rate.(core) <- ((1.0 -. ewma_alpha) *. t.rate.(core)) +. (ewma_alpha *. inst);
   t.slow_rate.(core) <-
     ((1.0 -. slow_alpha) *. t.slow_rate.(core)) +. (slow_alpha *. inst);
-  (* Sum of the offered rates of cores whose current activity run
-     covers this instant: a run is [run_start, last], padded by the
-     queue-drain window on both sides. *)
-  let live_sum () =
-    let acc = ref 0.0 in
-    for j = 0 to t.cores - 1 do
-      if
-        j = core
-        || (t.last.(j) >= 0
-           && now >= t.run_start.(j) - active_window
-           && now <= t.last.(j) + active_window)
-      then acc := !acc +. t.rate.(j)
-    done;
-    !acc
-  in
   let delay =
     match t.mode with
     | Partitioned ->
@@ -101,10 +105,7 @@ let record t ~core ~now =
         let overload = offered -. t.service in
         if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
         else 0
-    | Open ->
-        let overload = live_sum () -. t.service in
-        if overload > 0.0 then int_of_float (overload /. t.service *. delay_scale)
-        else 0
+    | Open -> contention_delay t ~core ~now
     | Mba limit ->
         (* Approximate enforcement: the MBA meter is a slow average, so a
            core pays its throttle penalty only when its {e sustained}
@@ -120,11 +121,7 @@ let record t ~core ~now =
             int_of_float (over /. t.service *. delay_scale *. 2.0)
           else 0
         in
-        let overload = live_sum () -. t.service in
-        throttle
-        + (if overload > 0.0 then
-             int_of_float (overload /. t.service *. delay_scale)
-           else 0)
+        throttle + contention_delay t ~core ~now
   in
   Tp_obs.Counter.incr t.st_transactions;
   if delay > 0 then begin

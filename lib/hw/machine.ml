@@ -8,6 +8,9 @@ type core_state = {
   btb : Btb.t;
   bhb : Bhb.t;
   prefetcher : Prefetcher.t option;
+  (* The prefetcher's suggestions for the current L1 miss, written in
+     place so the miss path does not build a list. *)
+  pf_out : int array;
   mutable cycles : int;
   (* Cycles the last TLB walk already charged to [cycles] itself, so
      [access] can report a total latency without double-charging and
@@ -73,6 +76,7 @@ let create platform =
                 ~slots:platform.prefetcher_slots
                 ~degree:platform.prefetcher_degree ())
          else None);
+      pf_out = Array.make (Stdlib.max 1 platform.prefetcher_degree) 0;
       cycles = 0;
       walk_charged = 0;
       st;
@@ -163,23 +167,24 @@ let add_cycles t ~core:i n = (core t i).cycles <- (core t i).cycles + n
    over-approximation only loses a little timing fidelity. *)
 let back_invalidate t line_paddr =
   if line_paddr >= 0 then
-    Array.iter
-      (fun c ->
-        Cache.invalidate_line c.l1d ~vaddr:line_paddr ~paddr:line_paddr;
-        Cache.invalidate_line c.l1i ~vaddr:line_paddr ~paddr:line_paddr;
-        match c.l2 with
-        | Some l2 -> Cache.invalidate_line l2 ~vaddr:line_paddr ~paddr:line_paddr
-        | None -> ())
-      t.cores
+    for i = 0 to Array.length t.cores - 1 do
+      let c = Array.unsafe_get t.cores i in
+      Cache.invalidate_line c.l1d ~vaddr:line_paddr ~paddr:line_paddr;
+      Cache.invalidate_line c.l1i ~vaddr:line_paddr ~paddr:line_paddr;
+      match c.l2 with
+      | Some l2 -> Cache.invalidate_line l2 ~vaddr:line_paddr ~paddr:line_paddr
+      | None -> ()
+    done
 
 (* Access the shared levels (LLC then DRAM) for one physical line;
    returns latency.  LLC misses are memory-bus transactions — the
    bandwidth-limited, contended resource; LLC hits are served by the
    (much wider) on-chip fabric and are not bus-accounted. *)
-let shared_access t ~core_id ~llc_ways ~paddr ~write =
-  let c = core t core_id in
+let shared_access t c ~core_id ~llc_ways ~paddr =
   let p = t.platform in
-  if Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:paddr ~paddr ~write
+  if
+    Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:paddr ~paddr
+      ~write:false
   then p.Platform.lat_llc
   else begin
     let evicted_dirty = Cache.last_evicted_dirty t.llc in
@@ -189,65 +194,39 @@ let shared_access t ~core_id ~llc_ways ~paddr ~write =
     p.Platform.lat_llc + Dram.access t.dram ~paddr + wb + bus_delay
   end
 
-(* Issue prefetches suggested by the stream prefetcher: insert into the
-   private L2 and the (inclusive) LLC. *)
-let issue_prefetches t ~core_id ~llc_ways pf_addrs =
-  let c = core t core_id in
-  Tp_obs.Counter.add c.st_prefetch_lines (List.length pf_addrs);
-  List.fold_left
-    (fun cost pf ->
-      (match c.l2 with
-      | Some l2 -> ignore (Cache.insert_clean_fast l2 ~vaddr:pf ~paddr:pf)
-      | None -> ());
-      (* Prefetches allocate under the issuing core's CAT class too. *)
-      if
-        not
-          (Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:pf
-             ~paddr:pf ~write:false)
-      then back_invalidate t (Cache.last_evicted t.llc);
-      cost + prefetch_issue_cost)
-    0 pf_addrs
+(* Issue the [n] prefetches the stream prefetcher left in [c.pf_out]:
+   insert into the private L2 and the (inclusive) LLC. *)
+let issue_prefetches t c ~llc_ways n =
+  Tp_obs.Counter.add c.st_prefetch_lines n;
+  for i = 0 to n - 1 do
+    let pf = c.pf_out.(i) in
+    (match c.l2 with
+    | Some l2 -> ignore (Cache.insert_clean_fast l2 ~vaddr:pf ~paddr:pf)
+    | None -> ());
+    (* Prefetches allocate under the issuing core's CAT class too. *)
+    if
+      not
+        (Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:pf
+           ~paddr:pf ~write:false)
+    then back_invalidate t (Cache.last_evicted t.llc)
+  done;
+  n * prefetch_issue_cost
 
-(* Returns the latency to report; cycles of it already charged by the
-   walk's own memory accesses are left in [c.walk_charged] (a scratch
-   field rather than a result tuple: this path runs once per simulated
-   access and must not allocate). *)
-let tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk =
-  let c = core t core_id in
-  let p = t.platform in
-  c.walk_charged <- 0;
-  let first = match kind with Defs.Fetch -> c.itlb | Defs.Read | Defs.Write -> c.dtlb in
-  match Tlb.access first ~asid ~vpn ~global with
-  | Tlb.Hit -> 0
-  | Tlb.Miss -> begin
-      match Tlb.access c.l2tlb ~asid ~vpn ~global with
-      | Tlb.Hit ->
-          Tp_obs.Counter.incr c.st_l2tlb_hits;
-          l2_tlb_hit_extra
-      | Tlb.Miss -> begin
-          Tp_obs.Counter.incr c.st_tlb_walks;
-          match walk with
-          | Some f ->
-              (* The walk's PT reads charge the core as they run; a
-                 small fixed TLB-refill overhead comes on top. *)
-              let w = f () in
-              Tp_obs.Counter.add c.st_walk_cycles w;
-              c.walk_charged <- w;
-              w + 10
-          | None ->
-              Tp_obs.Counter.add c.st_walk_cycles p.Platform.tlb_walk;
-              p.Platform.tlb_walk
-        end
-    end
+let all_ways = max_int
+let no_walk = -1
 
-let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
-    ~vaddr ~paddr ~kind () =
+(* Every argument is required: optional ones would box a [Some] per
+   call, and this path runs once per simulated access. *)
+let rec access t ~core:core_id ~asid ~global ~llc_ways ~pt_root ~pt_leaf
+    ~vaddr ~paddr ~kind =
   let c = core t core_id in
   let p = t.platform in
   let write = match kind with Defs.Write -> true | Defs.Read | Defs.Fetch -> false in
   Tp_obs.Counter.incr c.st_accesses;
   let vpn = Defs.page_of vaddr in
-  let lat_tlb = tlb_latency t ~core_id ~asid ~vpn ~kind ~global ~walk in
+  let lat_tlb =
+    tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~pt_root ~pt_leaf
+  in
   let already_charged = c.walk_charged in
   let l1 = match kind with Defs.Fetch -> c.l1i | Defs.Read | Defs.Write -> c.l1d in
   let lat =
@@ -261,10 +240,11 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
             let pf_cost =
               match c.prefetcher with
               | Some pf ->
-                  let suggestions =
+                  let n =
                     Prefetcher.on_access pf ~paddr ~line:p.Platform.line
+                      ~out:c.pf_out
                   in
-                  issue_prefetches t ~core_id ~llc_ways suggestions
+                  issue_prefetches t c ~llc_ways n
               | None -> 0
             in
             if Cache.access_fast l2 ~vaddr:paddr ~paddr ~write:false then
@@ -274,10 +254,10 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
                 if Cache.last_evicted_dirty l2 then wb_cost_per_line else 0
               in
               p.Platform.lat_l2 + l2_wb + pf_cost
-              + shared_access t ~core_id ~llc_ways ~paddr ~write:false
+              + shared_access t c ~core_id ~llc_ways ~paddr
             end
           end
-        | None -> shared_access t ~core_id ~llc_ways ~paddr ~write:false
+        | None -> shared_access t c ~core_id ~llc_ways ~paddr
       in
       p.Platform.lat_l1 + l1_wb + inner
     end
@@ -286,10 +266,56 @@ let access t ~core:core_id ~asid ?(global = false) ?(llc_ways = max_int) ?walk
   c.cycles <- c.cycles + total - already_charged;
   total
 
+(* Returns the latency to report; cycles of it already charged by the
+   walk's own memory accesses are left in [c.walk_charged] (a scratch
+   field rather than a result tuple: this path runs once per simulated
+   access and must not allocate). *)
+and tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~pt_root ~pt_leaf =
+  let p = t.platform in
+  c.walk_charged <- 0;
+  let first = match kind with Defs.Fetch -> c.itlb | Defs.Read | Defs.Write -> c.dtlb in
+  match Tlb.access first ~asid ~vpn ~global with
+  | Tlb.Hit -> 0
+  | Tlb.Miss -> begin
+      match Tlb.access c.l2tlb ~asid ~vpn ~global with
+      | Tlb.Hit ->
+          Tp_obs.Counter.incr c.st_l2tlb_hits;
+          l2_tlb_hit_extra
+      | Tlb.Miss ->
+          Tp_obs.Counter.incr c.st_tlb_walks;
+          if pt_root >= 0 then begin
+            (* The walk's PT reads charge the core as they run; a small
+               fixed TLB-refill overhead comes on top. *)
+            let w = walk t ~core_id ~pt_root ~pt_leaf in
+            Tp_obs.Counter.add c.st_walk_cycles w;
+            c.walk_charged <- w;
+            w + 10
+          end
+          else begin
+            Tp_obs.Counter.add c.st_walk_cycles p.Platform.tlb_walk;
+            p.Platform.tlb_walk
+          end
+    end
+
+(* The memory traffic of a hardware page-table walk: one read of the
+   root-table line, then one of the leaf-table line if there is one.
+   The walker reads page tables as data through the kernel's physical
+   window, so these are global ASID-0 reads under no CAT mask. *)
+and walk t ~core_id ~pt_root ~pt_leaf =
+  let lat = pt_read t ~core_id pt_root in
+  if pt_leaf >= 0 then lat + pt_read t ~core_id pt_leaf else lat
+
+and pt_read t ~core_id pa =
+  access t ~core:core_id ~asid:0 ~global:true ~llc_ways:all_ways
+    ~pt_root:no_walk ~pt_leaf:no_walk ~vaddr:pa ~paddr:pa ~kind:Defs.Read
+
 let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
   let c = core t core_id in
   let p = t.platform in
-  let fetch = access t ~core:core_id ~asid ~vaddr ~paddr ~kind:Defs.Fetch () in
+  let fetch =
+    access t ~core:core_id ~asid ~global:false ~llc_ways:all_ways
+      ~pt_root:no_walk ~pt_leaf:no_walk ~vaddr ~paddr ~kind:Defs.Fetch
+  in
   let penalty =
     match Bhb.branch c.bhb ~addr:vaddr ~taken with
     | Bhb.Predicted -> 0
@@ -301,7 +327,10 @@ let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
 let jump t ~core:core_id ~asid ~vaddr ~paddr ~target =
   let c = core t core_id in
   let p = t.platform in
-  let fetch = access t ~core:core_id ~asid ~vaddr ~paddr ~kind:Defs.Fetch () in
+  let fetch =
+    access t ~core:core_id ~asid ~global:false ~llc_ways:all_ways
+      ~pt_root:no_walk ~pt_leaf:no_walk ~vaddr ~paddr ~kind:Defs.Fetch
+  in
   let penalty =
     match Btb.branch c.btb ~addr:vaddr ~target with
     | Btb.Predicted -> 0

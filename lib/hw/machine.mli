@@ -40,24 +40,38 @@ val access :
   t ->
   core:int ->
   asid:int ->
-  ?global:bool ->
-  ?llc_ways:int ->
-  ?walk:(unit -> int) ->
+  global:bool ->
+  llc_ways:int ->
+  pt_root:int ->
+  pt_leaf:int ->
   vaddr:int ->
   paddr:int ->
   kind:Defs.access_kind ->
-  unit ->
   int
 (** Perform one memory access; returns its latency in cycles, which has
     already been added to the core's clock.  [global] marks the page's
     TLB entry as a global mapping (kernel windows in the unmodified
     kernel).  [llc_ways] is the issuer's CAT class-of-service mask:
-    LLC misses may only allocate into those ways (default: all).
-    [walk] performs the page-table walk on a full TLB miss and returns
-    its latency — the caller supplies it so the walk's memory accesses
-    hit the real page-table lines (making page-table cache footprints,
-    and hence van-Schaik-style PT side channels, emerge); without it a
-    flat platform walk cost is charged. *)
+    LLC misses may only allocate into those ways ({!all_ways}: no
+    partitioning).
+
+    [pt_root] and [pt_leaf] describe the page-table walk a full TLB
+    miss performs: the physical addresses of the root-table and
+    leaf-table lines it reads, as global ASID-0 reads through the
+    cache hierarchy.  The walk's memory traffic is real, so page-table
+    cache footprints (and hence van-Schaik-style PT side channels)
+    emerge.  [pt_leaf < 0] reads the root line only.  [pt_root < 0]
+    ({!no_walk}) charges the flat platform walk cost instead and
+    ignores [pt_leaf].
+
+    Every argument is required and the call allocates nothing: this is
+    the simulator's per-access path. *)
+
+val all_ways : int
+(** The [llc_ways] mask allowing every LLC way. *)
+
+val no_walk : int
+(** [-1]: the [pt_root]/[pt_leaf] value for "no page-table line". *)
 
 val cond_branch :
   t -> core:int -> asid:int -> vaddr:int -> paddr:int -> taken:bool -> int

@@ -57,8 +57,10 @@ let slot_of t ~page =
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
 
-let on_access t ~paddr ~line =
-  if not t.enabled then []
+let degree t = t.degree
+
+let on_access t ~paddr ~line ~out =
+  if not t.enabled then 0
   else begin
     let page = paddr / Defs.page_size in
     let line_off = Defs.page_offset paddr / line in
@@ -69,32 +71,27 @@ let on_access t ~paddr ~line =
     if tr.ptag = ptag then begin
       let delta = line_off - tr.last_line in
       if delta = tr.dir && delta <> 0 then
-        tr.confidence <- min confirm (tr.confidence + 1)
+        tr.confidence <- Int.min confirm (tr.confidence + 1)
       else if delta = -tr.dir && delta <> 0 then begin
         tr.dir <- -tr.dir;
         tr.confidence <- 1
       end
-      else if delta <> 0 then tr.confidence <- max 0 (tr.confidence - 1);
+      else if delta <> 0 then tr.confidence <- Int.max 0 (tr.confidence - 1);
       tr.last_line <- line_off;
       if tr.confidence >= confirm then begin
         (* Confirmed stream: prefetch [degree] lines ahead, staying
            within the page (real prefetchers stop at page boundaries). *)
-        let rec fetch k acc =
-          if k > t.degree then List.rev acc
-          else begin
-            let next = line_off + (k * tr.dir) in
-            if next < 0 || next >= lines_per_page then List.rev acc
-            else begin
-              let pf = (page * Defs.page_size) + (next * line) in
-              fetch (k + 1) (pf :: acc)
-            end
-          end
-        in
-        let pfs = fetch 1 [] in
-        Tp_obs.Counter.add t.st_issued (List.length pfs);
-        pfs
+        let n = ref 0 in
+        let next = ref (line_off + tr.dir) in
+        while !n < t.degree && !next >= 0 && !next < lines_per_page do
+          out.(!n) <- (page * Defs.page_size) + (!next * line);
+          incr n;
+          next := !next + tr.dir
+        done;
+        Tp_obs.Counter.add t.st_issued !n;
+        !n
       end
-      else []
+      else 0
     end
     else begin
       (* Allocation filter: an incumbent stream with confidence resists
@@ -108,7 +105,7 @@ let on_access t ~paddr ~line =
       if tr.ptag <> -1 && tr.confidence > 0 then begin
         Tp_obs.Counter.incr t.st_filtered;
         tr.confidence <- tr.confidence - 1;
-        []
+        0
       end
       else begin
         Tp_obs.Counter.incr t.st_allocs;
@@ -116,7 +113,7 @@ let on_access t ~paddr ~line =
         tr.last_line <- line_off;
         tr.dir <- 1;
         tr.confidence <- 0;
-        []
+        0
       end
     end
   end

@@ -40,10 +40,17 @@ val slot_of : t -> page:int -> int
     bits, so page colouring cannot partition the table (exposed for
     tests). *)
 
-val on_access : t -> paddr:int -> line:int -> int list
+val degree : t -> int
+(** Lines prefetched ahead on a confirmed stream: the most one
+    {!on_access} can suggest. *)
+
+val on_access : t -> paddr:int -> line:int -> out:int array -> int
 (** Notify the prefetcher of a demand access to physical address
-    [paddr] (cache line size [line]); returns the physical addresses of
-    lines to prefetch (empty when disabled or no stream confirmed). *)
+    [paddr] (cache line size [line]).  Writes the physical addresses of
+    the lines to prefetch to [out.(0)], ..., [out.(n - 1)] in issue
+    order and returns [n] (0 when disabled or no stream is confirmed).
+    [out] must hold at least {!degree} entries; the caller owns it, so
+    the per-access path allocates nothing. *)
 
 val trained_slots : t -> int
 (** Number of trackers whose confidence has reached the prefetch

@@ -182,11 +182,15 @@ let clone_op m ~core ~asid ~src ~dst =
   let cost = ref 0 in
   for i = 0 to lines - 1 do
     let a = src + (i * line) in
-    cost := !cost + Machine.access m ~core ~asid ~vaddr:a ~paddr:a ~kind:Defs.Read ()
+    cost := !cost + Machine.access m ~core ~asid ~global:false ~llc_ways:Machine.all_ways
+        ~pt_root:Machine.no_walk ~pt_leaf:Machine.no_walk ~vaddr:a ~paddr:a
+        ~kind:Defs.Read
   done;
   for i = 0 to lines - 1 do
     let a = dst + (i * line) in
-    cost := !cost + Machine.access m ~core ~asid ~vaddr:a ~paddr:a ~kind:Defs.Write ()
+    cost := !cost + Machine.access m ~core ~asid ~global:false ~llc_ways:Machine.all_ways
+        ~pt_root:Machine.no_walk ~pt_leaf:Machine.no_walk ~vaddr:a ~paddr:a
+        ~kind:Defs.Write
   done;
   !cost
 
@@ -199,8 +203,9 @@ let destroy_op m ~core ~asid ~barrier =
   let cost = ref 0 in
   cost :=
     !cost
-    + Machine.access m ~core ~asid ~vaddr:barrier ~paddr:barrier
-        ~kind:Defs.Write ();
+    + Machine.access m ~core ~asid ~global:false ~llc_ways:Machine.all_ways
+        ~pt_root:Machine.no_walk ~pt_leaf:Machine.no_walk ~vaddr:barrier
+        ~paddr:barrier ~kind:Defs.Write;
   cost := !cost + Machine.flush_tlbs m ~core;
   Machine.add_cycles m ~core Bounds.ipi_cost;
   cost := !cost + Bounds.ipi_cost;

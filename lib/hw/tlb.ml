@@ -57,19 +57,17 @@ let set_of t vpn = vpn land (t.n_sets - 1)
 let find t ~asid ~vpn =
   let base = set_of t vpn * t.g.ways in
   let vpns = t.vpns and globals = t.globals and asids = t.asids in
-  let ways = t.g.ways in
-  let rec go w =
-    if w = ways then -1
-    else begin
-      let i = base + w in
-      if
-        Array.unsafe_get vpns i = vpn
-        && (Array.unsafe_get globals i || Array.unsafe_get asids i = asid)
-      then i
-      else go (w + 1)
-    end
-  in
-  go 0
+  let stop = base + t.g.ways in
+  let i = ref base in
+  while
+    !i < stop
+    && not
+         (Array.unsafe_get vpns !i = vpn
+         && (Array.unsafe_get globals !i || Array.unsafe_get asids !i = asid))
+  do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 (* First invalid way wins outright (LRU among invalids is
    meaningless); otherwise lowest age. *)

@@ -60,11 +60,15 @@ let copy_region sys ~core ~src_pa_of ~dst_pa_of ~off ~len =
     let o = off + (i * line) in
     let src = src_pa_of o and dst = dst_pa_of o in
     ignore
-      (Tp_hw.Machine.access m ~core ~asid ~global ~vaddr:src ~paddr:src
-         ~kind:Tp_hw.Defs.Read ());
+      (Tp_hw.Machine.access m ~core ~asid ~global
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:src ~paddr:src
+         ~kind:Tp_hw.Defs.Read);
     ignore
-      (Tp_hw.Machine.access m ~core ~asid ~global ~vaddr:dst ~paddr:dst
-         ~kind:Tp_hw.Defs.Write ())
+      (Tp_hw.Machine.access m ~core ~asid ~global
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:dst ~paddr:dst
+         ~kind:Tp_hw.Defs.Write)
   done
 
 let () =

@@ -75,7 +75,9 @@ let manual_l1_flush sys ~core ki =
     let pa = System.image_pa ki ~off in
     ignore
       (Tp_hw.Machine.access m ~core ~asid ~global
-         ~vaddr:(Layout.kernel_base_vaddr + off) ~paddr:pa ~kind:Tp_hw.Defs.Read ())
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:(Layout.kernel_base_vaddr + off)
+         ~paddr:pa ~kind:Tp_hw.Defs.Read)
   done;
   (* I side: chained jumps, one per line; also scrubs the BTB. *)
   for l = 0 to (i_size / line) - 1 do
@@ -216,8 +218,10 @@ let switch sys ~core ~to_ =
       for l = 0 to 3 do
         let a = pa + (l * (System.platform sys).Tp_hw.Platform.line) in
         ignore
-          (Tp_hw.Machine.access m ~core ~asid ~global ~vaddr:a ~paddr:a
-             ~kind:Tp_hw.Defs.Read ())
+          (Tp_hw.Machine.access m ~core ~asid ~global
+             ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+             ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:a ~paddr:a
+             ~kind:Tp_hw.Defs.Read)
       done
   | [] -> ());
   ignore

@@ -8,8 +8,9 @@ let touch_frame_lines sys ~core frames ~lines ~kind =
       for l = 0 to lines - 1 do
         let pa = Phys.frame_addr f + (l * line) in
         ignore
-          (Tp_hw.Machine.access (System.machine sys) ~core ~asid ~global ~vaddr:pa
-             ~paddr:pa ~kind ())
+          (Tp_hw.Machine.access (System.machine sys) ~core ~asid ~global
+             ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+             ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:pa ~paddr:pa ~kind)
       done
   | [] -> ()
 

@@ -62,15 +62,27 @@ let deliverable t ~partitioned ~current irq =
         true
   end
 
+let rec any_due ~now = function
+  | [] -> false
+  | tm :: rest -> tm.tm_at <= now || any_due ~now rest
+
 let pending t ~core ~now ~partitioned ~current =
   let ts = t.timers.(core) in
-  let fired, rest =
-    List.partition
-      (fun tm -> tm.tm_at <= now && deliverable t ~partitioned ~current tm.tm_irq)
-      !ts
-  in
-  ts := rest;
-  List.map (fun tm -> tm.tm_irq) (List.sort (fun a b -> compare a.tm_at b.tm_at) fired)
+  (* Checked after every user operation: with nothing due, answer
+     without building the partition, so that case allocates nothing. *)
+  if not (any_due ~now !ts) then []
+  else begin
+    let fired, rest =
+      List.partition
+        (fun tm ->
+          tm.tm_at <= now && deliverable t ~partitioned ~current tm.tm_irq)
+        !ts
+    in
+    ts := rest;
+    List.map
+      (fun tm -> tm.tm_irq)
+      (List.sort (fun a b -> compare a.tm_at b.tm_at) fired)
+  end
 
 let next_timer t ~core =
   List.fold_left

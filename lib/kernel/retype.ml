@@ -209,6 +209,10 @@ let retype_vspace cap ~asid =
          vs_root_pt = root_pt;
          vs_leaf_pts = Hashtbl.create 16;
          vs_heap_next = 0x1000_0000 / Tp_hw.Defs.page_size;
+         vs_tc_vpn = -1;
+         vs_tc_frame_pa = 0;
+         vs_tc_root_pte = 0;
+         vs_tc_leaf_pte = -1;
        })
 
 let retype_sched_context cap ~budget ~period =

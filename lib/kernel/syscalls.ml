@@ -35,7 +35,8 @@ let touch_object_frames sys ~core frames ~lines ~kind =
           let pa = Phys.frame_addr f + (l * line) in
           ignore
             (Tp_hw.Machine.access (System.machine sys) ~core ~asid ~global
-               ~vaddr:pa ~paddr:pa ~kind ())
+               ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+               ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:pa ~paddr:pa ~kind)
         done)
     frames
 

@@ -169,7 +169,10 @@ let touch_lines t ~core ~kind lines =
   let global = kernel_mappings_global t in
   List.fold_left
     (fun acc (vaddr, paddr) ->
-      acc + Tp_hw.Machine.access t.machine ~core ~asid ~global ~vaddr ~paddr ~kind ())
+      acc
+      + Tp_hw.Machine.access t.machine ~core ~asid ~global
+          ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+          ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr ~paddr ~kind)
     0 lines
 
 let touch_image t ~core ki ~region ~off ~len ~kind =
@@ -218,13 +221,39 @@ let touch_shared t ~core region ?(off = 0) ?len ~kind () =
 
 let shared_base t = (t.shared_vaddr, t.shared_paddr)
 
+let pt_index vpn = vpn lsr 9 (* 512 8-byte entries per 4 KiB table *)
+
+(* Fill the translation cache for [vpn]: its frame plus the root and
+   leaf page-table entries a hardware walk of it reads.  This is the one
+   description of a walk; the machine reads the lines holding those
+   entries on a TLB miss, and the replay recorder stores them. *)
+let fill_translation vs vpn =
+  (* [Hashtbl.find] rather than [find_opt]: no [Some] per refill. *)
+  match Hashtbl.find vs.Types.vs_pages vpn with
+  | exception Not_found -> raise (Types.Kernel_error Types.Invalid_capability)
+  | frame ->
+      let pti = pt_index vpn in
+      vs.Types.vs_tc_vpn <- vpn;
+      vs.Types.vs_tc_frame_pa <- Phys.frame_addr frame;
+      vs.Types.vs_tc_root_pte <-
+        Phys.frame_addr vs.Types.vs_root_pt + ((pti land 511) * 8);
+      vs.Types.vs_tc_leaf_pte <-
+        (match Hashtbl.find vs.Types.vs_leaf_pts pti with
+        | leaf -> Phys.frame_addr leaf + ((vpn land 511) * 8)
+        | exception Not_found -> -1)
+
 let translate vs vaddr =
   let vpn = Tp_hw.Defs.page_of vaddr in
-  match Hashtbl.find_opt vs.Types.vs_pages vpn with
-  | Some frame -> Phys.frame_addr frame + Tp_hw.Defs.page_offset vaddr
-  | None -> raise (Types.Kernel_error Types.Invalid_capability)
+  if vpn <> vs.Types.vs_tc_vpn then fill_translation vs vpn;
+  vs.Types.vs_tc_frame_pa + Tp_hw.Defs.page_offset vaddr
 
-let pt_index vpn = vpn lsr 9 (* 512 8-byte entries per 4 KiB table *)
+let unmap_page vs ~vpn =
+  Hashtbl.remove vs.Types.vs_pages vpn;
+  vs.Types.vs_tc_vpn <- -1
+
+let unmap_all vs =
+  Hashtbl.reset vs.Types.vs_pages;
+  vs.Types.vs_tc_vpn <- -1
 
 let map_page _t vs ~pt_alloc ~vpn ~frame =
   assert (not (Hashtbl.mem vs.Types.vs_pages vpn));
@@ -236,44 +265,19 @@ let map_page _t vs ~pt_alloc ~vpn ~frame =
   end;
   Hashtbl.replace vs.Types.vs_pages vpn frame
 
-(* The memory traffic of a hardware page-table walk: one read in the
-   root table, one in the leaf table.  PT lines are read through the
-   kernel's physical window (they are data to the walker). *)
-let walk_cost t ~core vs vpn =
-  let line = t.platform.Tp_hw.Platform.line in
-  let read_pt_entry frame idx =
-    let pa = Phys.frame_addr frame + (idx * 8 / line * line) in
-    Tp_hw.Machine.access t.machine ~core ~asid:0 ~global:true ~vaddr:pa ~paddr:pa
-      ~kind:Tp_hw.Defs.Read ()
-  in
-  let pti = pt_index vpn in
-  let root_lat = read_pt_entry vs.Types.vs_root_pt (pti land 511) in
-  match Hashtbl.find_opt vs.Types.vs_leaf_pts pti with
-  | Some leaf -> root_lat + read_pt_entry leaf (vpn land 511)
-  | None -> root_lat
+let pt_line t pte =
+  if pte < 0 then Tp_hw.Machine.no_walk
+  else pte land lnot (t.platform.Tp_hw.Platform.line - 1)
 
-(* Pure mirror of [walk_cost]: the physical addresses of the PT lines
-   a walk of [vpn] would read, without performing the reads.  The
-   replay recorder stores these so a replayed access's TLB-miss walk
-   touches the same lines the live walk did. *)
-let walk_lines t vs vpn =
-  let line = t.platform.Tp_hw.Platform.line in
-  let entry_line frame idx = Phys.frame_addr frame + (idx * 8 / line * line) in
-  let pti = pt_index vpn in
-  let root = entry_line vs.Types.vs_root_pt (pti land 511) in
-  let leaf =
-    match Hashtbl.find_opt vs.Types.vs_leaf_pts pti with
-    | Some l -> entry_line l (vpn land 511)
-    | None -> -1
-  in
-  (root, leaf)
+let walk_root_line t vs = pt_line t vs.Types.vs_tc_root_pte
+let walk_leaf_line t vs = pt_line t vs.Types.vs_tc_leaf_pte
 
 let user_access t ~core tcb ~vaddr ~kind =
   match tcb.Types.t_vspace with
   | None -> raise (Types.Kernel_error Types.Invalid_capability)
   | Some vs ->
       let paddr = translate vs vaddr in
-      let llc_ways = cat_mask_of_domain t tcb.Types.t_domain in
-      let walk () = walk_cost t ~core vs (Tp_hw.Defs.page_of vaddr) in
       Tp_hw.Machine.access t.machine ~core ~asid:vs.Types.vs_asid ~global:false
-        ~llc_ways ~walk ~vaddr ~paddr ~kind ()
+        ~llc_ways:(cat_mask_of_domain t tcb.Types.t_domain)
+        ~pt_root:(walk_root_line t vs) ~pt_leaf:(walk_leaf_line t vs) ~vaddr
+        ~paddr ~kind

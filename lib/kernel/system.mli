@@ -118,7 +118,16 @@ val shared_audit :
 
 val translate : Types.vspace -> int -> int
 (** Virtual to physical; raises [Types.Kernel_error Invalid_capability]
-    on an unmapped page (the model's page fault). *)
+    on an unmapped page (the model's page fault).  A hit in the
+    vspace's one-entry translation cache costs no hashtable lookup; a
+    miss refills it, so {!walk_root_line} and {!walk_leaf_line} then
+    describe this vaddr's page. *)
+
+val unmap_page : Types.vspace -> vpn:int -> unit
+(** Remove one mapping and empty the translation cache. *)
+
+val unmap_all : Types.vspace -> unit
+(** Remove every mapping and empty the translation cache. *)
 
 val map_page :
   t ->
@@ -141,12 +150,15 @@ val user_access :
     with the rest of the pool), then the data access.  Returns and
     charges the total latency. *)
 
-val walk_lines : t -> Types.vspace -> int -> int * int
-(** [(root_line_pa, leaf_line_pa)] — the physical addresses of the PT
-    lines a page-table walk of this vpn reads ([leaf = -1] if the leaf
-    table does not exist).  Pure: no machine traffic.  The replay
-    recorder ({!Uctx.set_recorder}) stores these with each access so
-    replayed TLB-miss walks touch the exact lines live walks did. *)
+val walk_root_line : t -> Types.vspace -> int
+val walk_leaf_line : t -> Types.vspace -> int
+(** The physical addresses of the root- and leaf-table lines a
+    page-table walk of the page last passed to {!translate} in this
+    vspace reads ([Tp_hw.Machine.no_walk] for a missing leaf table).
+    Pure: no machine traffic.  {!user_access} hands them to
+    {!Tp_hw.Machine.access}, and the replay recorder
+    ({!Uctx.set_recorder}) stores them with each access, so replayed
+    TLB-miss walks touch the exact lines live walks did. *)
 
 val current_asid : t -> core:int -> int
 (** ASID used for kernel accesses on this core: the current thread's

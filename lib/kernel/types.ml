@@ -102,6 +102,16 @@ and vspace = {
           colouring userland colours them too — which is what defeats
           page-table side-channel attacks (§5.3.1, van Schaik 2018). *)
   mutable vs_heap_next : int;  (** next free heap vpn (bump) *)
+  mutable vs_tc_vpn : int;
+      (** One-entry translation cache, kept by {!System.translate}: the
+          vpn last translated ([-1] = empty), its frame's physical
+          address, and the physical addresses of the root and leaf
+          page-table entries a walk of it reads ([vs_tc_leaf_pte = -1]:
+          no leaf table).  Code that removes a [vs_pages] entry must
+          empty it ({!System.unmap_page}). *)
+  mutable vs_tc_frame_pa : int;
+  mutable vs_tc_root_pte : int;
+  mutable vs_tc_leaf_pte : int;
 }
 
 and tcb = {

@@ -31,15 +31,20 @@ let core t = t.core
 let tcb t = taint t; t.tcb
 let now t = taint t; now_ t
 
-(* Deliver fired, unmasked timer IRQs; then enforce the slice budget. *)
+(* Deliver fired, unmasked timer IRQs; then enforce the slice budget.
+   Runs after every operation, so the common no-timer-due case must
+   allocate nothing: [Irq.pending] answers it without building a list,
+   and the delivery loop is only entered when something fired. *)
 let post t =
   let cfg = System.cfg t.sys in
   let pc = System.per_core t.sys t.core in
-  let fired =
-    Irq.pending (System.irq t.sys) ~core:t.core ~now:(now_ t)
-      ~partitioned:cfg.Config.partition_irqs ~current:pc.System.cur_kernel
-  in
-  List.iter (fun irq -> Syscalls.handle_irq t.sys ~core:t.core ~irq) fired;
+  (match
+     Irq.pending (System.irq t.sys) ~core:t.core ~now:(now_ t)
+       ~partitioned:cfg.Config.partition_irqs ~current:pc.System.cur_kernel
+   with
+  | [] -> ()
+  | fired ->
+      List.iter (fun irq -> Syscalls.handle_irq t.sys ~core:t.core ~irq) fired);
   if now_ t >= t.slice_end then raise Preempted
 
 let vspace t =
@@ -53,10 +58,9 @@ let record_access t ~kind vaddr =
   | Some r ->
       let vs = vspace t in
       let paddr = System.translate vs vaddr in
-      let root_pa, leaf_pa =
-        System.walk_lines t.sys vs (Tp_hw.Defs.page_of vaddr)
-      in
-      Tp_hw.Replay.append_access r ~kind ~vaddr ~paddr ~root_pa ~leaf_pa
+      Tp_hw.Replay.append_access r ~kind ~vaddr ~paddr
+        ~root_pa:(System.walk_root_line t.sys vs)
+        ~leaf_pa:(System.walk_leaf_line t.sys vs)
 
 let read t vaddr =
   record_access t ~kind:Tp_hw.Defs.Read vaddr;

@@ -1,0 +1,188 @@
+(* Exact allocation gates for the simulated per-access path.
+
+   Every simulated memory access runs Uctx -> System -> Machine ->
+   caches/TLBs/prefetcher/interconnect/DRAM, so a single allocation on
+   that path is multiplied by every access of every experiment.  Minor
+   allocation is deterministic (it does not depend on the host or its
+   load), so these gates are exact: after warm-up, N accesses must
+   allocate 0 words. *)
+
+open Tp_hw
+open Tp_kernel
+
+(* Words allocated by [f ()], net of the cost of the measurement
+   itself. *)
+let words f =
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = measure ignore in
+  int_of_float (measure f -. overhead)
+
+let with_counters on f =
+  let was = Tp_obs.Ctl.counters_on () in
+  Tp_obs.Ctl.set_counters on;
+  Fun.protect ~finally:(fun () -> Tp_obs.Ctl.set_counters was) f
+
+(* ---- Machine.access, path by path ------------------------------- *)
+
+(* The addresses of one path, chosen so that after one warm-up pass
+   every access takes that path:
+   - hit: a 16 KiB sweep, L1-resident;
+   - l1-miss: a 2-line stride over 128 KiB, too big for the L1 but not
+     for the L2 (haswell) or LLC (sabre), and too sparse to train the
+     stream prefetcher;
+   - stream: a sequential 1 MiB sweep, which confirms streams and
+     issues prefetches on haswell;
+   - llc-miss: pseudo-random lines over 64 MiB, each with a page-table
+     walk through real root and leaf lines. *)
+type path = {
+  name : string;
+  addrs : int array;
+  walk : bool;
+  mutable cursor : int;  (** runs continue where the last one ended *)
+}
+
+let n_ops = 16384
+
+let paths (p : Platform.t) =
+  let line = p.Platform.line in
+  let sweep ~bytes ~stride = Array.init (bytes / stride) (fun i -> i * stride) in
+  let lcg = ref 12345 in
+  let random_line _ =
+    lcg := ((!lcg * 1103515245) + 12345) land 0x3FFF_FFFF;
+    !lcg mod (64 * 1024 * 1024 / line) * line
+  in
+  let path name addrs ~walk = { name; addrs; walk; cursor = 0 } in
+  [
+    path "hit" (sweep ~bytes:(16 * 1024) ~stride:line) ~walk:false;
+    path "l1-miss" (sweep ~bytes:(128 * 1024) ~stride:(2 * line)) ~walk:false;
+    path "stream" (sweep ~bytes:(1024 * 1024) ~stride:line) ~walk:false;
+    (* Enough lines that no run revisits the lines of an earlier one. *)
+    path "llc-miss" (Array.init (8 * n_ops) random_line) ~walk:true;
+  ]
+
+(* Page-table lines for the walk of a page, in a region disjoint from
+   the data. *)
+let pt_base = 96 * 1024 * 1024
+
+let run_path m (p : Platform.t) path =
+  let line = p.Platform.line in
+  for _ = 1 to n_ops do
+    let a = Array.unsafe_get path.addrs path.cursor in
+    path.cursor <- (path.cursor + 1) mod Array.length path.addrs;
+    let vpn = Defs.page_of a in
+    let pt_root =
+      if path.walk then pt_base + ((vpn lsr 9) land 511 * 8 / line * line)
+      else Machine.no_walk
+    in
+    let pt_leaf =
+      if path.walk then
+        pt_base + Defs.page_size + ((vpn land 511) * 8 / line * line)
+      else Machine.no_walk
+    in
+    ignore
+      (Machine.access m ~core:0 ~asid:1 ~global:false ~llc_ways:Machine.all_ways
+         ~pt_root ~pt_leaf ~vaddr:a ~paddr:a ~kind:Defs.Read
+        : int)
+  done
+
+let test_machine_access_allocates_nothing () =
+  List.iter
+    (fun (p : Platform.t) ->
+      List.iter
+        (fun counters ->
+          List.iter
+            (fun path ->
+              with_counters counters (fun () ->
+                  let m = Machine.create p in
+                  run_path m p path;
+                  let w = words (fun () -> run_path m p path) in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s %s, counters %b: words for %d accesses"
+                       p.Platform.name path.name counters n_ops)
+                    0 w))
+            (paths p))
+        [ false; true ])
+    [ Platform.haswell; Platform.sabre ]
+
+(* The paths really are the paths they are named after. *)
+let test_paths_take_their_path () =
+  with_counters true (fun () ->
+      let m = Machine.create Platform.haswell in
+      let pf = Option.get (Machine.prefetcher m ~core:0) in
+      let sets =
+        [
+          Cache.counters (Machine.l1d m ~core:0);
+          Prefetcher.counters pf;
+          Cache.counters (Machine.llc m);
+        ]
+      in
+      (* L1 hits, prefetched lines and LLC misses of one warm run. *)
+      let counts path =
+        run_path m Platform.haswell path;
+        let before = List.map Tp_obs.Counter.snapshot sets in
+        run_path m Platform.haswell path;
+        List.map2
+          (fun (set, s0) key ->
+            List.assoc key (Tp_obs.Counter.snapshot set) - List.assoc key s0)
+          (List.combine sets before)
+          [ "hits"; "lines_issued"; "misses" ]
+      in
+      match List.map counts (paths Platform.haswell) with
+      | [ [ hit; _; _ ]; [ l1; pf_l1; _ ]; [ _; pf_stream; _ ]; [ _; _; llc ] ]
+        ->
+          Alcotest.(check int) "hit path hits L1" n_ops hit;
+          Alcotest.(check int) "l1-miss path misses L1" 0 l1;
+          Alcotest.(check int) "l1-miss path issues no prefetch" 0 pf_l1;
+          Alcotest.(check bool) "stream path prefetches" true
+            (pf_stream > n_ops / 2);
+          Alcotest.(check bool) "llc-miss path misses the LLC" true
+            (llc > n_ops / 2)
+      | _ -> assert false)
+
+(* ---- Uctx, through the kernel ----------------------------------- *)
+
+let test_uctx_ops_allocate_nothing () =
+  List.iter
+    (fun (p : Platform.t) ->
+      List.iter
+        (fun counters ->
+          with_counters counters (fun () ->
+              let b =
+                Boot.boot ~platform:p ~config:(Config.protected_ p) ~domains:2 ()
+              in
+              let sys = b.Boot.sys in
+              let d0 = b.Boot.domains.(0) in
+              let pages = 64 in
+              let buf = Boot.alloc_pages b d0 ~pages in
+              let tcb = Boot.spawn b d0 (fun _ -> ()) in
+              Sched.remove (System.sched sys) ~core:0 tcb;
+              let ctx = Uctx.make sys ~core:0 tcb ~slice_end:max_int in
+              let line = p.Platform.line in
+              let span = pages * Defs.page_size / line in
+              let ops () =
+                for i = 0 to n_ops - 1 do
+                  let a = buf + (i * 3 mod span * line) in
+                  if i land 3 = 0 then Uctx.write ctx a else Uctx.read ctx a
+                done
+              in
+              ops ();
+              Alcotest.(check int)
+                (Printf.sprintf "%s, counters %b: words for %d Uctx ops"
+                   p.Platform.name counters n_ops)
+                0 (words ops)))
+        [ false; true ])
+    [ Platform.haswell; Platform.sabre ]
+
+let suite =
+  [
+    Alcotest.test_case "Machine.access allocates nothing" `Quick
+      test_machine_access_allocates_nothing;
+    Alcotest.test_case "allocation paths take their path" `Quick
+      test_paths_take_their_path;
+    Alcotest.test_case "Uctx read/write allocate nothing" `Quick
+      test_uctx_ops_allocate_nothing;
+  ]

@@ -250,8 +250,9 @@ let qcheck_scrub_bound_dominates =
             | _ -> Tp_hw.Defs.Fetch
           in
           ignore
-            (Machine.access m ~core:0 ~asid:(1 + (n mod 2)) ~vaddr
-               ~paddr:vaddr ~kind ());
+            (Machine.access m ~core:0 ~asid:(1 + (n mod 2)) ~global:false
+               ~llc_ways:Machine.all_ways ~pt_root:Machine.no_walk
+               ~pt_leaf:Machine.no_walk ~vaddr ~paddr:vaddr ~kind);
           if n mod 5 = 0 then
             ignore
               (Machine.cond_branch m ~core:0 ~asid:1
@@ -869,8 +870,9 @@ let qcheck_lifecycle_op_bound_dominates =
             | _ -> Tp_hw.Defs.Fetch
           in
           ignore
-            (Machine.access m ~core:0 ~asid:(1 + (n mod 2)) ~vaddr
-               ~paddr:vaddr ~kind ()))
+            (Machine.access m ~core:0 ~asid:(1 + (n mod 2)) ~global:false
+               ~llc_ways:Machine.all_ways ~pt_root:Machine.no_walk
+               ~pt_leaf:Machine.no_walk ~vaddr ~paddr:vaddr ~kind))
         activity;
       let page = Tp_hw.Defs.page_size in
       let base = 0x5000_0000 in

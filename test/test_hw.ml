@@ -3,6 +3,12 @@
 
 open Tp_hw
 
+(* A user access with no page-table walk, no CAT mask, vaddr = paddr. *)
+let plain_access m ~core ~asid ~addr ~kind =
+  Machine.access m ~core ~asid ~global:false ~llc_ways:Machine.all_ways
+    ~pt_root:Machine.no_walk ~pt_leaf:Machine.no_walk ~vaddr:addr ~paddr:addr
+    ~kind
+
 let g32k8 = { Cache.size = 32768; ways = 8; line = 64; indexing = Cache.Virtual }
 
 let mk () = Cache.create g32k8
@@ -184,22 +190,29 @@ let test_bhb_flush_resets () =
   Alcotest.(check bool) "mispredicts taken after flush" true
     (Bhb.branch h ~addr:0x40 ~taken:true = Bhb.Mispredicted)
 
+(* The suggestions of one demand access, read back from the caller's
+   buffer. *)
+let suggest pf ~paddr ~line =
+  let out = Array.make (Prefetcher.degree pf) (-1) in
+  let n = Prefetcher.on_access pf ~paddr ~line ~out in
+  Array.to_list (Array.sub out 0 n)
+
 let test_prefetcher_stream_detection () =
   let pf = Prefetcher.create ~slots:16 ~degree:2 () in
   let line = 64 in
   (* Sequential accesses within a page: third access confirms. *)
-  Alcotest.(check (list int)) "1st: none" [] (Prefetcher.on_access pf ~paddr:0 ~line);
-  Alcotest.(check (list int)) "2nd: none" [] (Prefetcher.on_access pf ~paddr:64 ~line);
-  let pfs = Prefetcher.on_access pf ~paddr:128 ~line in
+  Alcotest.(check (list int)) "1st: none" [] (suggest pf ~paddr:0 ~line);
+  Alcotest.(check (list int)) "2nd: none" [] (suggest pf ~paddr:64 ~line);
+  let pfs = suggest pf ~paddr:128 ~line in
   Alcotest.(check (list int)) "3rd: prefetch next two" [ 192; 256 ] pfs
 
 let test_prefetcher_page_boundary () =
   let pf = Prefetcher.create ~slots:16 ~degree:2 () in
   let line = 64 in
   let last = 4096 - 64 in
-  ignore (Prefetcher.on_access pf ~paddr:(last - 128) ~line);
-  ignore (Prefetcher.on_access pf ~paddr:(last - 64) ~line);
-  let pfs = Prefetcher.on_access pf ~paddr:last ~line in
+  ignore (suggest pf ~paddr:(last - 128) ~line);
+  ignore (suggest pf ~paddr:(last - 64) ~line);
+  let pfs = suggest pf ~paddr:last ~line in
   Alcotest.(check (list int)) "no cross-page prefetch" [] pfs
 
 let test_prefetcher_disabled () =
@@ -207,7 +220,7 @@ let test_prefetcher_disabled () =
   Prefetcher.set_enabled pf false;
   for i = 0 to 5 do
     Alcotest.(check (list int)) "disabled: none" []
-      (Prefetcher.on_access pf ~paddr:(i * 64) ~line:64)
+      (suggest pf ~paddr:(i * 64) ~line:64)
   done
 
 let test_prefetcher_state_survives_and_aliases () =
@@ -215,7 +228,7 @@ let test_prefetcher_state_survives_and_aliases () =
   let line = 64 in
   (* Domain A trains a stream on page 0. *)
   for i = 0 to 4 do
-    ignore (Prefetcher.on_access pf ~paddr:(i * line) ~line)
+    ignore (suggest pf ~paddr:(i * line) ~line)
   done;
   Alcotest.(check bool) "trained" true (Prefetcher.trained_slots pf >= 1);
   (* Domain B touches a page aliasing the same (hashed) slot and the
@@ -229,13 +242,110 @@ let test_prefetcher_state_survives_and_aliases () =
     else find (page + 1)
   in
   let pb = find 1 * 4096 in
-  let pfs = Prefetcher.on_access pf ~paddr:(pb + (5 * line)) ~line in
+  let pfs = suggest pf ~paddr:(pb + (5 * line)) ~line in
   (* A's last_line was 4, direction +1; B's first access to line 5
      looks like a continuation => spurious prefetch, B-visible. *)
   Alcotest.(check bool) "spurious prefetch from stale state" true
     (List.length pfs > 0);
   Prefetcher.hard_reset pf;
   Alcotest.(check int) "hard reset clears" 0 (Prefetcher.trained_slots pf)
+
+(* A list-returning reference model of the stream prefetcher, written
+   for clarity rather than speed: the buffer-writing
+   [Prefetcher.on_access] must suggest exactly what it suggests. *)
+module Ref_prefetcher = struct
+  type tracker = {
+    mutable ptag : int;
+    mutable last : int;
+    mutable dir : int;
+    mutable conf : int;
+  }
+
+  type t = { slots : int; degree : int; table : tracker array }
+
+  let create ~slots ~degree =
+    {
+      slots;
+      degree;
+      table =
+        Array.init slots (fun _ -> { ptag = -1; last = 0; dir = 1; conf = 0 });
+    }
+
+  let on_access t ~paddr ~line =
+    let page = paddr / 4096 in
+    let off = paddr mod 4096 / line in
+    let slot = (page lxor (page lsr 4) lxor (page lsr 9)) land (t.slots - 1) in
+    let ptag = (page lsr Defs.log2 t.slots) land 3 in
+    let tr = t.table.(slot) in
+    if tr.ptag = ptag then begin
+      let delta = off - tr.last in
+      if delta <> 0 && delta = tr.dir then tr.conf <- min 2 (tr.conf + 1)
+      else if delta <> 0 && delta = -tr.dir then begin
+        tr.dir <- -tr.dir;
+        tr.conf <- 1
+      end
+      else if delta <> 0 then tr.conf <- max 0 (tr.conf - 1);
+      tr.last <- off;
+      if tr.conf < 2 then []
+      else
+        List.init t.degree (fun k -> off + ((k + 1) * tr.dir))
+        |> List.fold_left
+             (fun (stopped, acc) l ->
+               if stopped || l < 0 || l >= 4096 / line then (true, acc)
+               else (false, (page * 4096) + (l * line) :: acc))
+             (false, [])
+        |> snd |> List.rev
+    end
+    else if tr.ptag <> -1 && tr.conf > 0 then begin
+      tr.conf <- tr.conf - 1;
+      []
+    end
+    else begin
+      tr.ptag <- ptag;
+      tr.last <- off;
+      tr.dir <- 1;
+      tr.conf <- 0;
+      []
+    end
+end
+
+(* Random demand streams over a few pages, two of which share a
+   16-slot tracker under different partial tags (pages 0 and 17), so
+   streams evict and filter each other.  Each step moves the page's
+   cursor one line forward or back (streams, direction flips, and runs
+   into either page edge), jumps to a page edge, or jumps anywhere. *)
+let qcheck_prefetcher_matches_reference =
+  let pages = [| 0; 17; 34; 5; 1000 |] in
+  QCheck.Test.make ~name:"prefetcher buffer API = list reference model"
+    ~count:200
+    QCheck.(
+      triple (int_range 1 4) bool
+        (list_of_size
+           Gen.(int_range 1 300)
+           (triple (int_bound 4) (int_bound 5) (int_bound 127))))
+    (fun (degree, wide, steps) ->
+      let line = if wide then 64 else 32 in
+      let lines = 4096 / line in
+      let pf = Prefetcher.create ~slots:16 ~degree () in
+      let model = Ref_prefetcher.create ~slots:16 ~degree in
+      let out = Array.make degree (-1) in
+      let cursor = Array.make (Array.length pages) 0 in
+      List.for_all
+        (fun (pg, move, k) ->
+          let c =
+            match move with
+            | 0 | 1 -> Stdlib.min (lines - 1) (cursor.(pg) + 1)
+            | 2 -> Stdlib.max 0 (cursor.(pg) - 1)
+            | 3 -> 0
+            | 4 -> lines - 1
+            | _ -> k mod lines
+          in
+          cursor.(pg) <- c;
+          let paddr = (pages.(pg) * 4096) + (c * line) in
+          let n = Prefetcher.on_access pf ~paddr ~line ~out in
+          Array.to_list (Array.sub out 0 n)
+          = Ref_prefetcher.on_access model ~paddr ~line)
+        steps)
 
 let test_dram_row_buffer () =
   let d = Dram.create { Dram.banks = 8; row_bits = 13; t_hit = 100; t_miss = 200 } in
@@ -280,22 +390,22 @@ let test_interconnect_partitioned () =
 
 let test_machine_latency_orders () =
   let m = Machine.create Platform.haswell in
-  let miss = Machine.access m ~core:0 ~asid:1 ~vaddr:0x10000 ~paddr:0x10000 ~kind:Defs.Read () in
-  let hit = Machine.access m ~core:0 ~asid:1 ~vaddr:0x10000 ~paddr:0x10000 ~kind:Defs.Read () in
+  let miss = plain_access m ~core:0 ~asid:1 ~addr:0x10000 ~kind:Defs.Read in
+  let hit = plain_access m ~core:0 ~asid:1 ~addr:0x10000 ~kind:Defs.Read in
   Alcotest.(check bool) "miss slower than hit" true (miss > hit);
   Alcotest.(check bool) "hit is L1-ish" true (hit <= 10)
 
 let test_machine_cycles_accumulate () =
   let m = Machine.create Platform.sabre in
   let c0 = Machine.cycles m ~core:0 in
-  ignore (Machine.access m ~core:0 ~asid:1 ~vaddr:0 ~paddr:0 ~kind:Defs.Read ());
+  ignore (plain_access m ~core:0 ~asid:1 ~addr:0 ~kind:Defs.Read);
   Alcotest.(check bool) "cycles advanced" true (Machine.cycles m ~core:0 > c0);
   Alcotest.(check int) "other core unaffected" 0 (Machine.cycles m ~core:1)
 
 let test_machine_llc_back_invalidation () =
   let m = Machine.create Platform.haswell in
   (* Core 0 loads a line (fills L1/L2/LLC). *)
-  ignore (Machine.access m ~core:0 ~asid:1 ~vaddr:0x40000 ~paddr:0x40000 ~kind:Defs.Read ());
+  ignore (plain_access m ~core:0 ~asid:1 ~addr:0x40000 ~kind:Defs.Read);
   Alcotest.(check bool) "in core0 L1" true
     (Cache.probe (Machine.l1d m ~core:0) ~vaddr:0x40000 ~paddr:0x40000);
   (* Core 1 floods the same LLC set until core0's line is evicted. *)
@@ -304,14 +414,14 @@ let test_machine_llc_back_invalidation () =
   let stride = Cache.sets g * g.Cache.line in
   for w = 1 to g.Cache.ways + 4 do
     let a = 0x40000 + (w * stride) in
-    ignore (Machine.access m ~core:1 ~asid:2 ~vaddr:a ~paddr:a ~kind:Defs.Read ())
+    ignore (plain_access m ~core:1 ~asid:2 ~addr:a ~kind:Defs.Read)
   done;
   Alcotest.(check bool) "LLC eviction back-invalidates core0 L1" false
     (Cache.probe (Machine.l1d m ~core:0) ~vaddr:0x40000 ~paddr:0x40000)
 
 let test_machine_flush_ops () =
   let m = Machine.create Platform.sabre in
-  ignore (Machine.access m ~core:0 ~asid:1 ~vaddr:0 ~paddr:0 ~kind:Defs.Write ());
+  ignore (plain_access m ~core:0 ~asid:1 ~addr:0 ~kind:Defs.Write);
   let cost = Machine.flush_l1_hw m ~core:0 in
   Alcotest.(check bool) "flush costs cycles" true (cost > 0);
   Alcotest.(check int) "L1D empty" 0 (Cache.valid_lines (Machine.l1d m ~core:0))
@@ -321,8 +431,7 @@ let test_machine_flush_cost_depends_on_dirtiness () =
     let m = Machine.create Platform.sabre in
     for i = 0 to n - 1 do
       ignore
-        (Machine.access m ~core:0 ~asid:1 ~vaddr:(i * 32) ~paddr:(i * 32)
-           ~kind:Defs.Write ())
+        (plain_access m ~core:0 ~asid:1 ~addr:(i * 32) ~kind:Defs.Write)
     done;
     Machine.flush_l1_hw m ~core:0
   in
@@ -353,8 +462,8 @@ let test_cache_masked_allocation () =
 
 let test_machine_clflush_globally_evicts () =
   let m = Machine.create Platform.haswell in
-  ignore (Machine.access m ~core:0 ~asid:1 ~vaddr:0x5000 ~paddr:0x5000 ~kind:Defs.Read ());
-  ignore (Machine.access m ~core:1 ~asid:2 ~vaddr:0x5000 ~paddr:0x5000 ~kind:Defs.Read ());
+  ignore (plain_access m ~core:0 ~asid:1 ~addr:0x5000 ~kind:Defs.Read);
+  ignore (plain_access m ~core:1 ~asid:2 ~addr:0x5000 ~kind:Defs.Read);
   let cost = Machine.clflush m ~core:0 ~paddr:0x5000 in
   Alcotest.(check bool) "clflush costs cycles" true (cost > 0);
   Alcotest.(check bool) "gone from LLC" false
@@ -362,7 +471,7 @@ let test_machine_clflush_globally_evicts () =
   Alcotest.(check bool) "gone from the other core's L1 too" false
     (Cache.probe (Machine.l1d m ~core:1) ~vaddr:0x5000 ~paddr:0x5000);
   (* The next access pays the full miss again. *)
-  let lat = Machine.access m ~core:1 ~asid:2 ~vaddr:0x5000 ~paddr:0x5000 ~kind:Defs.Read () in
+  let lat = plain_access m ~core:1 ~asid:2 ~addr:0x5000 ~kind:Defs.Read in
   Alcotest.(check bool) "reload is a full miss" true (lat > 100)
 
 let test_dram_bank_hash_unpartitionable () =
@@ -384,9 +493,9 @@ let qcheck_clflush_then_miss =
     (fun a ->
       let a = a land lnot 63 in
       let m = Machine.create Platform.haswell in
-      ignore (Machine.access m ~core:0 ~asid:1 ~vaddr:a ~paddr:a ~kind:Defs.Read ());
+      ignore (plain_access m ~core:0 ~asid:1 ~addr:a ~kind:Defs.Read);
       ignore (Machine.clflush m ~core:0 ~paddr:a);
-      Machine.access m ~core:0 ~asid:1 ~vaddr:a ~paddr:a ~kind:Defs.Read () > 50)
+      plain_access m ~core:0 ~asid:1 ~addr:a ~kind:Defs.Read > 50)
 
 let test_platform_table1 () =
   let h = Platform.haswell in
@@ -484,4 +593,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cache_flush_empties;
     QCheck_alcotest.to_alcotest qcheck_access_after_access_hits;
     QCheck_alcotest.to_alcotest qcheck_tlb_occupancy;
+    QCheck_alcotest.to_alcotest qcheck_prefetcher_matches_reference;
   ]

@@ -412,8 +412,10 @@ let test_switch_flushes_on_core_state () =
   (* Dirty the L1 and TLB. *)
   for i = 0 to 63 do
     ignore
-      (Tp_hw.Machine.access m ~core:0 ~asid:7 ~vaddr:(i * 4096) ~paddr:(i * 4096)
-         ~kind:Tp_hw.Defs.Write ())
+      (Tp_hw.Machine.access m ~core:0 ~asid:7 ~global:false
+         ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+         ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:(i * 4096) ~paddr:(i * 4096)
+         ~kind:Tp_hw.Defs.Write)
   done;
   let tcb = Boot.spawn b b.Boot.domains.(0) (fun _ -> ()) in
   Sched.remove (System.sched sys) ~core:0 tcb;
@@ -436,8 +438,10 @@ let test_switch_padding_makes_total_constant () =
     let m = System.machine sys in
     for i = 0 to dirty - 1 do
       ignore
-        (Tp_hw.Machine.access m ~core:0 ~asid:7 ~vaddr:(i * 32) ~paddr:(i * 32)
-           ~kind:Tp_hw.Defs.Write ())
+        (Tp_hw.Machine.access m ~core:0 ~asid:7 ~global:false
+           ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+           ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:(i * 32) ~paddr:(i * 32)
+           ~kind:Tp_hw.Defs.Write)
     done;
     let tcb = Boot.spawn b b.Boot.domains.(0) (fun _ -> ()) in
     Sched.remove (System.sched sys) ~core:0 tcb;
@@ -459,8 +463,10 @@ let test_switch_no_pad_varies () =
     let m = System.machine sys in
     for i = 0 to dirty - 1 do
       ignore
-        (Tp_hw.Machine.access m ~core:0 ~asid:7 ~vaddr:(i * 32) ~paddr:(i * 32)
-           ~kind:Tp_hw.Defs.Write ())
+        (Tp_hw.Machine.access m ~core:0 ~asid:7 ~global:false
+           ~llc_ways:Tp_hw.Machine.all_ways ~pt_root:Tp_hw.Machine.no_walk
+           ~pt_leaf:Tp_hw.Machine.no_walk ~vaddr:(i * 32) ~paddr:(i * 32)
+           ~kind:Tp_hw.Defs.Write)
     done;
     let tcb = Boot.spawn b b.Boot.domains.(0) (fun _ -> ()) in
     Sched.remove (System.sched sys) ~core:0 tcb;
@@ -508,6 +514,117 @@ let test_unmapped_access_faults () =
   expect_error Types.Invalid_capability (fun () ->
       System.user_access b.Boot.sys ~core:0 tcb ~vaddr:0x7000_0000
         ~kind:Tp_hw.Defs.Read)
+
+(* The per-vspace one-entry translation cache must never outlive the
+   mapping it caches. *)
+
+let frame_cap_at b dom ~vpn =
+  let cap = Retype.retype_frame dom.Boot.dom_pool in
+  let f =
+    match cap.Types.target with Types.Obj_frame f -> f | _ -> assert false
+  in
+  let vs = dom.Boot.dom_vspace in
+  System.map_page b.Boot.sys vs
+    ~pt_alloc:
+      (Some
+         (fun () ->
+           match Retype.take_frames dom.Boot.dom_pool 1 with
+           | [ pt ] -> pt
+           | _ -> assert false))
+    ~vpn ~frame:f.Types.f_frame;
+  f.Types.f_mapping <- Some (vs, vpn);
+  (cap, f.Types.f_frame)
+
+let test_translation_cache_deleted_frame_faults () =
+  let b = boot_protected () in
+  let sys = b.Boot.sys in
+  let d0 = b.Boot.domains.(0) in
+  let vpn = 0x5_0000 in
+  let vaddr = (vpn * 4096) + 0x40 in
+  let cap, _ = frame_cap_at b d0 ~vpn in
+  let tcb = Boot.spawn b d0 (fun _ -> ()) in
+  ignore (System.user_access sys ~core:0 tcb ~vaddr ~kind:Tp_hw.Defs.Read);
+  Objects.delete sys ~core:0 cap;
+  expect_error Types.Invalid_capability (fun () ->
+      System.user_access sys ~core:0 tcb ~vaddr ~kind:Tp_hw.Defs.Read);
+  expect_error Types.Invalid_capability (fun () ->
+      System.translate d0.Boot.dom_vspace vaddr)
+
+let test_translation_cache_remap_same_vpn () =
+  let b = boot_protected () in
+  let sys = b.Boot.sys in
+  let d0 = b.Boot.domains.(0) in
+  let vs = d0.Boot.dom_vspace in
+  let vpn = 0x5_0000 in
+  let vaddr = (vpn * 4096) + 0x80 in
+  let cap, old_frame = frame_cap_at b d0 ~vpn in
+  let tcb = Boot.spawn b d0 (fun _ -> ()) in
+  ignore (System.user_access sys ~core:0 tcb ~vaddr ~kind:Tp_hw.Defs.Write);
+  Alcotest.(check int) "old frame" ((old_frame * 4096) + 0x80)
+    (System.translate vs vaddr);
+  Objects.delete sys ~core:0 cap;
+  (* The deleted frame went back to the pool; map another one. *)
+  let new_frame =
+    List.find (fun f -> f <> old_frame) (Retype.take_frames d0.Boot.dom_pool 2)
+  in
+  System.map_page sys vs ~pt_alloc:None ~vpn ~frame:new_frame;
+  ignore (System.user_access sys ~core:0 tcb ~vaddr ~kind:Tp_hw.Defs.Read);
+  Alcotest.(check int) "translates to the new frame"
+    ((new_frame * 4096) + 0x80)
+    (System.translate vs vaddr);
+  (* A vspace delete empties the cache too. *)
+  System.unmap_all vs;
+  expect_error Types.Invalid_capability (fun () -> System.translate vs vaddr)
+
+(* A stream recorded after an unmap/remap of a cached page must equal
+   the one recorded on a fresh boot that mapped the final frame
+   directly: the recorder reads the translation cache for the paddr
+   and the page-table lines of every access. *)
+let test_translation_cache_recording_after_unmap () =
+  let vpn = 0x5_0000 in
+  let record ~remap =
+    let b = boot_protected () in
+    let sys = b.Boot.sys in
+    let d0 = b.Boot.domains.(0) in
+    let vs = d0.Boot.dom_vspace in
+    let f1, f2 =
+      match Retype.take_frames d0.Boot.dom_pool 2 with
+      | [ f1; f2 ] -> (f1, f2)
+      | _ -> assert false
+    in
+    let pt_alloc =
+      Some
+        (fun () ->
+          match Retype.take_frames d0.Boot.dom_pool 1 with
+          | [ pt ] -> pt
+          | _ -> assert false)
+    in
+    let tcb = Boot.spawn b d0 (fun _ -> ()) in
+    Sched.remove (System.sched sys) ~core:0 tcb;
+    if remap then begin
+      System.map_page sys vs ~pt_alloc ~vpn ~frame:f1;
+      ignore
+        (System.user_access sys ~core:0 tcb ~vaddr:(vpn * 4096)
+           ~kind:Tp_hw.Defs.Read);
+      System.unmap_page vs ~vpn
+    end;
+    System.map_page sys vs ~pt_alloc ~vpn ~frame:f2;
+    let ctx =
+      Uctx.make sys ~core:0 tcb ~slice_end:(System.now sys ~core:0 + 100_000)
+    in
+    let r = Tp_hw.Replay.create () in
+    Uctx.set_recorder ctx (Some r);
+    (try
+       for i = 0 to 15 do
+         Uctx.read ctx ((vpn * 4096) + (i * 64))
+       done;
+       Uctx.idle_rest ctx
+     with Uctx.Preempted -> ());
+    Alcotest.(check bool) "complete stream" true (Tp_hw.Replay.complete r);
+    Tp_hw.Replay.digest r
+  in
+  Alcotest.(check string) "same stream digest as a fresh boot"
+    (record ~remap:false) (record ~remap:true)
 
 (* ------------------------------------------------------------------ *)
 (* Exec driver *)
@@ -691,6 +808,12 @@ let suite =
     Alcotest.test_case "switch no-pad varies" `Quick test_switch_no_pad_varies;
     Alcotest.test_case "switch raw no flush" `Quick test_switch_raw_no_flush;
     Alcotest.test_case "alloc+access" `Quick test_alloc_pages_and_access;
+    Alcotest.test_case "translation cache: deleted frame faults" `Quick
+      test_translation_cache_deleted_frame_faults;
+    Alcotest.test_case "translation cache: remap same vpn" `Quick
+      test_translation_cache_remap_same_vpn;
+    Alcotest.test_case "translation cache: recording after unmap" `Quick
+      test_translation_cache_recording_after_unmap;
     Alcotest.test_case "alloc pages coloured" `Quick test_alloc_pages_coloured;
     Alcotest.test_case "unmapped faults" `Quick test_unmapped_access_faults;
     Alcotest.test_case "exec alternates" `Quick test_exec_runs_bodies_alternately;

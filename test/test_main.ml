@@ -3,6 +3,7 @@ let () =
     [
       ("util", Test_util.suite);
       ("hw", Test_hw.suite);
+      ("alloc", Test_alloc.suite);
       ("replay", Test_replay.suite);
       ("channel", Test_channel.suite);
       ("kernel", Test_kernel.suite);

@@ -13,8 +13,9 @@ let sabre = Platform.sabre
 let warm m =
   for i = 0 to 99 do
     ignore
-      (Machine.access m ~core:0 ~asid:1 ~vaddr:(i * 4096) ~paddr:(i * 4096)
-         ~kind:Defs.Read ()
+      (Machine.access m ~core:0 ~asid:1 ~global:false ~llc_ways:Machine.all_ways
+         ~pt_root:Machine.no_walk ~pt_leaf:Machine.no_walk ~vaddr:(i * 4096)
+         ~paddr:(i * 4096) ~kind:Defs.Read
         : int)
   done
 
@@ -32,8 +33,9 @@ let test_snapshot_roundtrip () =
          and a restore must erase it bit-for-bit. *)
       ignore (Machine.clflush m ~core:0 ~paddr:0 : int);
       ignore
-        (Machine.access m ~core:0 ~asid:2 ~vaddr:12345 ~paddr:12345
-           ~kind:Defs.Write ()
+        (Machine.access m ~core:0 ~asid:2 ~global:false
+           ~llc_ways:Machine.all_ways ~pt_root:Machine.no_walk
+           ~pt_leaf:Machine.no_walk ~vaddr:12345 ~paddr:12345 ~kind:Defs.Write
           : int);
       Alcotest.(check bool)
         (p.Platform.name ^ ": perturbation changes the digest")
@@ -85,26 +87,12 @@ let decode (sel, a, b) =
 let all_ways = lnot 0
 
 let run_live m ops =
-  let root = ref (-1) and leaf = ref (-1) in
-  let walk () =
-    let lat =
-      Machine.access m ~core:0 ~asid:0 ~global:true ~vaddr:!root ~paddr:!root
-        ~kind:Defs.Read ()
-    in
-    if !leaf >= 0 then
-      lat
-      + Machine.access m ~core:0 ~asid:0 ~global:true ~vaddr:!leaf ~paddr:!leaf
-          ~kind:Defs.Read ()
-    else lat
-  in
   List.map
     (fun op ->
       match decode op with
       | `Access (kind, vaddr, root_pa, leaf_pa) ->
-          root := root_pa;
-          leaf := leaf_pa;
           Machine.access m ~core:0 ~asid:1 ~global:false ~llc_ways:all_ways
-            ~walk ~vaddr ~paddr:vaddr ~kind ()
+            ~pt_root:root_pa ~pt_leaf:leaf_pa ~vaddr ~paddr:vaddr ~kind
       | `Cond_branch (vaddr, taken) ->
           Machine.cond_branch m ~core:0 ~asid:1 ~vaddr ~paddr:vaddr ~taken
       | `Jump (vaddr, target) ->
