@@ -6,7 +6,8 @@
    simulator throughput.  Machine.access is measured on each of its
    paths (L1 hit, L1 miss / L2 hit, prefetching stream, LLC miss with a
    page-table walk), with counters off and on (the off case must stay
-   cheap: the hot path hoists the enabled check).
+   cheap: the hot path hoists the enabled check).  The leakage layer
+   (one MI estimate, one full shuffle test) closes the table.
 
    One bechamel sample runs a batch of [batch] operations, and ns/op is
    the per-sample estimate divided by the batch: timing a single
@@ -153,6 +154,36 @@ let replay_op =
   in
   { name = "replay.step"; batch = 64 * replay_ops; run }
 
+(* The leakage layer on one Table 3 cell's shape: 300 samples over 16
+   symbols with integer (cycle-count) outputs.  [leakage.test] is one
+   MI estimate plus 100 shuffled ones. *)
+let leakage_samples =
+  let r = Tp_util.Rng.create ~seed:1 in
+  let input = Array.init 300 (fun i -> i mod 16) in
+  let output =
+    Array.map
+      (fun s -> float_of_int (1000 + Tp_util.Rng.int r 40 + (3 * (s land 3))))
+      input
+  in
+  { Tp_channel.Mi.input; output }
+
+let mi_op =
+  let run n =
+    for _ = 1 to n do
+      ignore (Tp_channel.Mi.estimate leakage_samples)
+    done
+  in
+  { name = "mi.estimate (300 x 16)"; batch = 1; run }
+
+let leakage_op =
+  let rng = Tp_util.Rng.create ~seed:2 in
+  let run n =
+    for _ = 1 to n do
+      ignore (Tp_channel.Leakage.test ~rng leakage_samples)
+    done
+  in
+  { name = "leakage.test (300 x 16)"; batch = 1; run }
+
 let ops =
   [
     cache_op ~name:"cache.access_fast hit" ~bytes:(16 * 1024) ~write:false
@@ -165,7 +196,7 @@ let ops =
   ]
   @ machine_ops ~counters:false
   @ machine_ops ~counters:true
-  @ [ snapshot_op; restore_op; replay_op ]
+  @ [ snapshot_op; restore_op; replay_op; mi_op; leakage_op ]
 
 let ns_per_op op =
   let test =

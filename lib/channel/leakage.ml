@@ -14,12 +14,20 @@ let resolution_bits = 0.001
 let test ?(shuffles = 100) ?(grid_points = Mi.default_grid_points) ~rng samples =
   let n = Array.length samples.Mi.input in
   assert (n > 0);
-  let m = Mi.estimate ~grid_points samples in
-  let shuffled =
-    Array.init shuffles (fun _ ->
-        let perm = Tp_util.Rng.permutation rng n in
-        Mi.estimate_with_permutation ~grid_points samples ~perm)
-  in
+  let sc = Mi.scratch ~grid_points samples in
+  (* [est.(shuffles)] is M; [est.(i)] the i-th shuffled estimate. *)
+  let est = Array.make (shuffles + 1) 0.0 in
+  let perm = Array.init n Fun.id in
+  Mi.estimate_into sc ~perm est shuffles;
+  for i = 0 to shuffles - 1 do
+    (* [Rng.permutation], in a reused buffer. *)
+    for j = 0 to n - 1 do
+      perm.(j) <- j
+    done;
+    Tp_util.Rng.shuffle rng perm;
+    Mi.estimate_into sc ~perm est i
+  done;
+  let m = est.(shuffles) and shuffled = Array.sub est 0 shuffles in
   let mean = Tp_util.Stats.mean shuffled in
   let std = Tp_util.Stats.std shuffled in
   let m0 = mean +. (1.96 *. std) in

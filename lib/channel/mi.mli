@@ -30,4 +30,21 @@ val estimate_with_permutation :
     shuffle test in {!Leakage}); [perm] must be a permutation of
     [0 .. n-1]. *)
 
+(** {2 Repeated estimates on one dataset}
+
+    {!Leakage} estimates MI on one dataset and on 100 re-pairings of
+    it.  A {!scratch} does the work they share once: it groups the
+    samples by symbol, fixes the grid (it depends only on the range of
+    the outputs) and sizes every buffer.  {!estimate} and
+    {!estimate_with_permutation} are this path with a fresh scratch. *)
+
+type scratch
+
+val scratch : ?grid_points:int -> samples -> scratch
+
+val estimate_into : scratch -> perm:int array -> float array -> int -> unit
+(** [estimate_into sc ~perm dst i] stores [estimate_with_permutation
+    s ~perm] (for the [s] of [sc]) in [dst.(i)], bit for bit, and
+    allocates nothing. *)
+
 val bits_to_millibits : float -> float

@@ -1,36 +1,40 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a mutable [int64]
+   record field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (bits64 t))
 
 (* Trial-indexed stream splitting for the parallel runner: the stream
    for trial [i] depends only on (seed, i), never on which worker runs
    the trial or in what order, so parallel schedules reproduce the
    sequential streams exactly. *)
 let of_trial ~seed ~trial =
-  {
-    state =
-      mix64
-        (Int64.add
-           (mix64 (Int64.of_int seed))
-           (Int64.mul (Int64.of_int (trial + 1)) golden_gamma));
-  }
+  of_state
+    (mix64
+       (Int64.add
+          (mix64 (Int64.of_int seed))
+          (Int64.mul (Int64.of_int (trial + 1)) golden_gamma)))
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 let int t bound =
   assert (bound > 0);
@@ -43,7 +47,7 @@ let int_in t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
@@ -51,12 +55,12 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let gaussian t ~mu ~sigma =
   (* Box–Muller; discard the second deviate for simplicity. *)
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float t 1.0 in
-  let r = sqrt (-2.0 *. log u1) in
+  let u1 = ref (float t 1.0) in
+  while not (!u1 > 0.0) do
+    u1 := float t 1.0
+  done;
+  let u2 = float t 1.0 in
+  let r = sqrt (-2.0 *. log !u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
 
 let shuffle t a =

@@ -1,4 +1,5 @@
-(* Exact allocation gates for the simulated per-access path.
+(* Exact allocation gates for the simulated per-access path and the
+   leakage test.
 
    Every simulated memory access runs Uctx -> System -> Machine ->
    caches/TLBs/prefetcher/interconnect/DRAM, so a single allocation on
@@ -177,6 +178,66 @@ let test_uctx_ops_allocate_nothing () =
         [ false; true ])
     [ Platform.haswell; Platform.sabre ]
 
+(* ---- The leakage test ------------------------------------------- *)
+
+(* A fixed 300-sample, 16-symbol dataset with integer (cycle-count-like)
+   outputs: the shape of one Table 3 cell. *)
+let leakage_samples () =
+  let r = Tp_util.Rng.create ~seed:1 in
+  let input = Array.init 300 (fun i -> i mod 16) in
+  let output =
+    Array.map
+      (fun s -> float_of_int (1000 + Tp_util.Rng.int r 40 + (3 * (s land 3))))
+      input
+  in
+  { Tp_channel.Mi.input; output }
+
+let test_shuffled_estimate_allocates_nothing () =
+  let s = leakage_samples () in
+  let sc = Tp_channel.Mi.scratch s in
+  let perm = Tp_util.Rng.permutation (Tp_util.Rng.create ~seed:2) 300 in
+  let dst = Array.make 1 0.0 in
+  Tp_channel.Mi.estimate_into sc ~perm dst 0;
+  Alcotest.(check int) "words for one shuffled estimate" 0
+    (words (fun () -> Tp_channel.Mi.estimate_into sc ~perm dst 0))
+
+(* Everything one test allocates is set-up: the grouping, the grid and
+   the buffers, sized once for all 101 estimates.  Counted are all words
+   allocated, including the arrays too large for the minor heap (the
+   per-symbol densities); the bound is the measured count. *)
+let leakage_test_words = 11_100
+
+let test_leakage_test_words () =
+  let s = leakage_samples () in
+  let run () =
+    ignore (Tp_channel.Leakage.test ~rng:(Tp_util.Rng.create ~seed:3) s)
+  in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  run ();
+  let w = int_of_float (allocated run -. allocated ignore) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Leakage.test on 300 x 16 allocates %d <= %d words" w
+       leakage_test_words)
+    true
+    (w <= leakage_test_words)
+
+let test_rng_int_allocates_nothing () =
+  let r = Tp_util.Rng.create ~seed:4 in
+  let acc = ref 0 in
+  let draws () =
+    for _ = 1 to n_ops do
+      acc := !acc lxor Tp_util.Rng.int r 1000
+    done
+  in
+  draws ();
+  Alcotest.(check int)
+    (Printf.sprintf "words for %d Rng.int draws" n_ops)
+    0 (words draws)
+
 let suite =
   [
     Alcotest.test_case "Machine.access allocates nothing" `Quick
@@ -185,4 +246,10 @@ let suite =
       test_paths_take_their_path;
     Alcotest.test_case "Uctx read/write allocate nothing" `Quick
       test_uctx_ops_allocate_nothing;
+    Alcotest.test_case "shuffled MI estimate allocates nothing" `Quick
+      test_shuffled_estimate_allocates_nothing;
+    Alcotest.test_case "Leakage.test words bounded" `Quick
+      test_leakage_test_words;
+    Alcotest.test_case "Rng.int allocates nothing" `Quick
+      test_rng_int_allocates_nothing;
   ]

@@ -275,6 +275,277 @@ let qcheck_leakage_m0_nonnegative =
       let res = Leakage.test ~shuffles:20 ~rng:r s in
       res.Leakage.m0 >= 0.0 && res.Leakage.m >= 0.0)
 
+(* ---- Bit-identity of the estimator ------------------------------ *)
+
+(* The estimator as it was written before its scratch-based rewrite:
+   per-estimate grouping in a Hashtbl, a full kernel and a full-grid
+   convolution per density, the output copied for every permutation.
+   The rewrite must reproduce it bit for bit. *)
+module Reference = struct
+  let silverman_bandwidth samples =
+    let n = Array.length samples in
+    if n = 1 then 0.0
+    else begin
+      let sd = Tp_util.Stats.std samples in
+      let iqr =
+        Tp_util.Stats.percentile samples 75.0
+        -. Tp_util.Stats.percentile samples 25.0
+      in
+      let spread = if iqr > 0.0 then Stdlib.min sd (iqr /. 1.34) else sd in
+      0.9 *. spread *. (float_of_int n ** -0.2)
+    end
+
+  let kde (g : Kde.grid) ?bandwidth samples =
+    let step = Kde.grid_step g in
+    let h =
+      match bandwidth with
+      | Some h -> Stdlib.max h step
+      | None -> Stdlib.max (silverman_bandwidth samples) step
+    in
+    let counts = Array.make g.points 0 in
+    Array.iter
+      (fun x ->
+        let q = (x -. g.lo) /. step in
+        let i = int_of_float (Float.floor (q +. 0.5)) in
+        let i = if i < 0 then 0 else if i >= g.points then g.points - 1 else i in
+        counts.(i) <- counts.(i) + 1)
+      samples;
+    let half_window = int_of_float (Float.ceil (4.0 *. h /. step)) in
+    let norm = 1.0 /. (h *. sqrt (2.0 *. Float.pi)) in
+    let kernel =
+      Array.init
+        ((2 * half_window) + 1)
+        (fun k ->
+          let d = float_of_int (k - half_window) *. step /. h in
+          norm *. exp (-0.5 *. d *. d))
+    in
+    let n = float_of_int (Array.length samples) in
+    let density = Array.make g.points 0.0 in
+    Array.iteri
+      (fun i c ->
+        if c > 0 then begin
+          let w = float_of_int c /. n in
+          let lo = Stdlib.max 0 (i - half_window) in
+          let hi = Stdlib.min (g.points - 1) (i + half_window) in
+          for j = lo to hi do
+            density.(j) <- density.(j) +. (w *. kernel.(j - i + half_window))
+          done
+        end)
+      counts;
+    density
+
+  let log2 x = log x /. log 2.0
+
+  let group_by_symbol (s : Mi.samples) =
+    let tbl = Hashtbl.create 16 in
+    Array.iteri
+      (fun idx sym ->
+        let prev = try Hashtbl.find tbl sym with Not_found -> [] in
+        Hashtbl.replace tbl sym (idx :: prev))
+      s.input;
+    Hashtbl.fold
+      (fun sym idxs acc -> (sym, Array.of_list (List.rev idxs)) :: acc)
+      tbl []
+    |> List.sort compare
+
+  let estimate_grouped ~grid_points ~output groups =
+    let k = List.length groups in
+    if k < 2 then 0.0
+    else begin
+      let lo = Tp_util.Stats.min output and hi = Tp_util.Stats.max output in
+      let pad = if hi > lo then 0.1 *. (hi -. lo) else 1.0 in
+      let grid = { Kde.lo = lo -. pad; hi = hi +. pad; points = grid_points } in
+      let step = Kde.grid_step grid in
+      let densities =
+        List.map
+          (fun (_sym, idxs) -> kde grid (Array.map (fun i -> output.(i)) idxs))
+          groups
+      in
+      let w = 1.0 /. float_of_int k in
+      let marginal = Array.make grid_points 0.0 in
+      List.iter
+        (fun d ->
+          Array.iteri (fun g v -> marginal.(g) <- marginal.(g) +. (w *. v)) d)
+        densities;
+      let mi = ref 0.0 in
+      List.iter
+        (fun d ->
+          for g = 0 to grid_points - 1 do
+            let fi = d.(g) and f = marginal.(g) in
+            if fi > 1e-300 && f > 1e-300 then
+              mi := !mi +. (w *. fi *. log2 (fi /. f) *. step)
+          done)
+        densities;
+      Stdlib.max 0.0 !mi
+    end
+
+  let estimate ~grid_points (s : Mi.samples) =
+    estimate_grouped ~grid_points ~output:s.output (group_by_symbol s)
+
+  let estimate_with_permutation ~grid_points (s : Mi.samples) ~perm =
+    let output = Array.map (fun i -> s.output.(i)) perm in
+    estimate_grouped ~grid_points ~output (group_by_symbol { s with output })
+
+  let leakage ~shuffles ~grid_points ~rng (s : Mi.samples) =
+    let n = Array.length s.input in
+    let m = estimate ~grid_points s in
+    let shuffled =
+      Array.init shuffles (fun _ ->
+          let perm = Tp_util.Rng.permutation rng n in
+          estimate_with_permutation ~grid_points s ~perm)
+    in
+    let mean = Tp_util.Stats.mean shuffled in
+    (m, mean +. (1.96 *. Tp_util.Stats.std shuffled))
+end
+
+let bits = Int64.bits_of_float
+let same_bits a b = Int64.equal (bits a) (bits b)
+
+(* Seeded datasets whose M and M0 were recorded, as hex floats, from
+   the reference estimator: a leaky 16-symbol channel, a null channel,
+   integer-valued (cycle-count-like) outputs with many duplicates, and
+   unbalanced, non-contiguous symbols with one constant group on a
+   300-point grid. *)
+let pinned_dataset seed =
+  let r = Tp_util.Rng.create ~seed in
+  match seed with
+  | 1 ->
+      let input = Array.init 300 (fun i -> i mod 16) in
+      let output =
+        Array.map
+          (fun s ->
+            Tp_util.Rng.gaussian r ~mu:(10.0 +. (0.5 *. float_of_int s)) ~sigma:2.0)
+          input
+      in
+      ({ Mi.input; output }, 512)
+  | 2 ->
+      let input = Array.init 300 (fun _ -> Tp_util.Rng.int r 4) in
+      let output = Array.init 300 (fun _ -> Tp_util.Rng.float r 50.0) in
+      ({ Mi.input; output }, 512)
+  | 3 ->
+      let input = Array.init 300 (fun _ -> Tp_util.Rng.int r 16) in
+      let output =
+        Array.map
+          (fun s -> float_of_int (100 + Tp_util.Rng.int r 8 + (2 * (s land 1))))
+          input
+      in
+      ({ Mi.input; output }, 512)
+  | _ ->
+      let syms = [| 0; 5; 5; 5; 17; 17; 17; 17; 17; 17 |] in
+      let input = Array.init 200 (fun _ -> Tp_util.Rng.choose r syms) in
+      let output =
+        Array.map
+          (fun s ->
+            if s = 0 then 3.0
+            else Tp_util.Rng.gaussian r ~mu:(float_of_int s) ~sigma:4.0)
+          input
+      in
+      ({ Mi.input; output }, 300)
+
+let test_pinned_m_m0 () =
+  List.iter
+    (fun (seed, m, m0) ->
+      let s, grid_points = pinned_dataset seed in
+      let res =
+        Leakage.test ~grid_points ~rng:(Tp_util.Rng.create ~seed:(100 + seed)) s
+      in
+      let check what want got =
+        Alcotest.(check string)
+          (Printf.sprintf "dataset %d: %s" seed what)
+          want (Printf.sprintf "%h" got)
+      in
+      check "M" m res.Leakage.m;
+      check "M0" m0 res.Leakage.m0;
+      check "estimate" m (Mi.estimate ~grid_points s))
+    [
+      (1, "0x1.43f27a807c91ap-1", "0x1.1fac882610b74p-3");
+      (2, "0x1.83dc07cfe242fp-7", "0x1.d82f3dc153218p-6");
+      (3, "0x1.aef64447bcb5dp-3", "0x1.f817bef95465ap-4");
+      (4, "0x1.5f34cf471e87ep+0", "0x1.f2a0751c416dp-5");
+    ]
+
+(* Datasets for the differential test, by shape:
+   0 overlapping Gaussians on non-contiguous (and negative) symbol ids;
+   1 a constant output; 2 one symbol; 3 unbalanced groups, one of them
+   a single sample; 4 integer outputs with many duplicates; 5 a heavy
+   tail with outliers. *)
+let differential_dataset (shape, n, seed) =
+  let r = Tp_util.Rng.create ~seed in
+  let ids = [| -7; 0; 3; 4; 1000 |] in
+  let input =
+    match shape with
+    | 2 -> Array.make n 3
+    | 3 ->
+        Array.init n (fun i ->
+            if i = n / 2 then 9 else if Tp_util.Rng.int r 10 = 0 then 5 else 1)
+    | _ -> Array.init n (fun _ -> Tp_util.Rng.choose r ids)
+  in
+  let output =
+    Array.map
+      (fun sym ->
+        let mu = float_of_int (sym land 7) in
+        match shape with
+        | 1 -> 42.0
+        | 4 -> float_of_int (Tp_util.Rng.int r 6 + (sym land 1))
+        | 5 ->
+            let u = Tp_util.Rng.float r 1.0 in
+            if u < 0.05 then 1e4 *. u else mu -. (20.0 *. log (1.0 -. u))
+        | _ -> Tp_util.Rng.gaussian r ~mu ~sigma:2.0)
+      input
+  in
+  { Mi.input; output }
+
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"estimator bit-identical to the reference"
+    ~count:150
+    QCheck.(
+      pair
+        (triple (int_bound 5) (int_range 1 120) (int_bound 1_000_000))
+        (oneofl [ 2; 7; 64; 300; 512 ]))
+    (fun (case, grid_points) ->
+      let s = differential_dataset case in
+      let n = Array.length s.Mi.input in
+      let perm = Tp_util.Rng.permutation (Tp_util.Rng.create ~seed:n) n in
+      let m, m0 =
+        Reference.leakage ~shuffles:5 ~grid_points
+          ~rng:(Tp_util.Rng.create ~seed:n) s
+      in
+      let res =
+        Leakage.test ~shuffles:5 ~grid_points ~rng:(Tp_util.Rng.create ~seed:n) s
+      in
+      let lo = Tp_util.Stats.min s.output -. 1.0 in
+      let grid = { Kde.lo; hi = Tp_util.Stats.max s.output +. 1.0; points = grid_points } in
+      let same_density ?bandwidth () =
+        let want = Reference.kde grid ?bandwidth s.output in
+        let got = Kde.estimate grid ?bandwidth s.output in
+        Array.for_all2 same_bits want got
+      in
+      same_bits (Reference.estimate ~grid_points s) (Mi.estimate ~grid_points s)
+      && same_bits
+           (Reference.estimate_with_permutation ~grid_points s ~perm)
+           (Mi.estimate_with_permutation ~grid_points s ~perm)
+      && same_bits m res.Leakage.m && same_bits m0 res.Leakage.m0
+      && same_density () && same_density ~bandwidth:0.37 ()
+      && same_bits
+           (Reference.silverman_bandwidth s.output)
+           (Kde.silverman_bandwidth s.output))
+
+let test_kde_huge_bandwidth () =
+  (* The kernel window is capped at the grid: a bandwidth far wider
+     than the grid neither tries to allocate a window of 8 h / step
+     cells nor yields anything but a finite, non-negative, flat-ish
+     density. *)
+  let grid = { Kde.lo = 0.0; hi = 10.0; points = 512 } in
+  List.iter
+    (fun bandwidth ->
+      let d = Kde.estimate grid ~bandwidth [| 1.0; 2.0; 9.0 |] in
+      Alcotest.(check int) "grid-sized" 512 (Array.length d);
+      Alcotest.(check bool)
+        (Printf.sprintf "finite and non-negative (h = %g)" bandwidth)
+        true
+        (Array.for_all (fun v -> Float.is_finite v && v >= 0.0) d))
+    [ 1e9; 1e300; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "kde integrates to 1" `Quick test_kde_integrates_to_one;
@@ -306,4 +577,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_capacity_vs_mi;
     QCheck_alcotest.to_alcotest qcheck_mi_nonnegative_and_bounded;
     QCheck_alcotest.to_alcotest qcheck_leakage_m0_nonnegative;
+    Alcotest.test_case "pinned M and M0 (hex)" `Quick test_pinned_m_m0;
+    QCheck_alcotest.to_alcotest qcheck_matches_reference;
+    Alcotest.test_case "kde huge bandwidth" `Quick test_kde_huge_bandwidth;
   ]

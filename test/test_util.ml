@@ -69,6 +69,43 @@ let test_rng_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 50 Fun.id) sorted
 
+(* The first draws of each generator function for fixed seeds, recorded
+   from the int64-record implementation: changing how the state is
+   stored must not change a single stream. *)
+let test_rng_streams_pinned () =
+  let ints r bound k = List.init k (fun _ -> Rng.int r bound) in
+  let hex f = Printf.sprintf "%h" f in
+  let r = Rng.create ~seed:42 in
+  Alcotest.(check (list int)) "int" [ 570; 797; 285; 91 ] (ints r 1000 4);
+  Alcotest.(check (list int)) "int, full range"
+    [ 4523206237176398889; 1084310982420964528 ]
+    (ints r max_int 2);
+  Alcotest.(check (list string)) "float"
+    [ "0x1.1e0b12d313f7cp-2"; "0x1.392025051c93p-3"; "0x1.8578493c50ec1p-1" ]
+    (List.init 3 (fun _ -> hex (Rng.float r 1.0)));
+  Alcotest.(check (list string)) "gaussian"
+    [ "0x1.4df86a3e49b99p+0"; "0x1.cb931e35ba517p+0"; "0x1.5745fbf8ef841p+2" ]
+    (List.init 3 (fun _ -> hex (Rng.gaussian r ~mu:1.0 ~sigma:2.0)));
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; true; false; true; true; true; false ]
+    (List.init 8 (fun _ -> Rng.bool r));
+  Alcotest.(check (array int)) "permutation"
+    [| 0; 5; 1; 7; 3; 2; 8; 6; 9; 4 |]
+    (Rng.permutation r 10);
+  let s = Rng.split r in
+  Alcotest.(check (list int)) "split" [ 289; 579; 55 ] (ints s 1000 3);
+  Alcotest.(check (list int)) "parent after split" [ 211 ] (ints r 1000 1);
+  let c = Rng.copy r in
+  Alcotest.(check (list int)) "copy" (ints r 1000 1) (ints c 1000 1);
+  let t = Rng.of_trial ~seed:7 ~trial:3 in
+  Alcotest.(check (list int)) "of_trial" [ 438; 139; 975 ] (ints t 1000 3);
+  Alcotest.(check int64) "bits64" 5459553064812556L (Rng.bits64 t);
+  Alcotest.(check int64) "bits64, seed 0" (-2152535657050944081L)
+    (Rng.bits64 (Rng.create ~seed:0));
+  let chosen = Rng.choose t [| 10; 20; 30; 40 |] in
+  Alcotest.(check int) "choose" 10 chosen;
+  Alcotest.(check int) "int_in" 8 (Rng.int_in t 5 9)
+
 let test_stats_mean_var () =
   let a = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean a);
@@ -164,6 +201,7 @@ let suite =
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
     Alcotest.test_case "rng permutation" `Quick test_rng_permutation;
+    Alcotest.test_case "rng streams pinned" `Quick test_rng_streams_pinned;
     Alcotest.test_case "stats mean/var" `Quick test_stats_mean_var;
     Alcotest.test_case "stats singleton" `Quick test_stats_singleton;
     Alcotest.test_case "stats median even" `Quick test_stats_median_even;
