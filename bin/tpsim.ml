@@ -1330,7 +1330,9 @@ let no_replay_arg =
     "Disable record-once / replay-many sender slices and run every \
      trial slice live.  Replay is bit-identical to live execution by \
      construction, so flipping this flag must never change a result — \
-     it exists for A/B debugging and for measuring the speedup."
+     it exists for A/B debugging and for measuring the speedup.  The \
+     flag is part of each cell's cache key, so a live sweep recomputes \
+     its cells instead of reading replayed ones from the store."
   in
   Arg.(value & flag & info [ "no-replay" ] ~doc)
 
@@ -1352,10 +1354,9 @@ let cmd_bench =
     let doc = "Allowed relative throughput drop vs the baseline, percent." in
     Arg.(value & opt float 25.0 & info [ "max-regress" ] ~docv:"PCT" ~doc)
   in
-  let run plats q seed jobs verbose json baseline max_regress no_replay =
+  let run plats q seed jobs verbose json baseline max_regress =
     setup_logging verbose;
     Result.get_ok (setup_jobs jobs None);
-    Tp_attacks.Harness.set_replay_enabled (not no_replay);
     exit
       (Bench.run q ~seed
          ~jobs:(Tp_par.Pool.default_jobs ())
@@ -1370,7 +1371,7 @@ let cmd_bench =
           baseline regression gate.")
     Term.(
       const run $ platform_arg $ quality_arg $ seed_arg $ jobs_arg
-      $ verbose_arg $ bench_json $ baseline $ max_regress $ no_replay_arg)
+      $ verbose_arg $ bench_json $ baseline $ max_regress)
 
 let socket_arg =
   let doc = "Unix-domain socket path of the campaign daemon." in
@@ -1729,59 +1730,56 @@ let cmd_replay_smoke =
         Printf.printf "  FAIL %s: %s\n%!" name detail
       end
     in
-    Fun.protect
-      ~finally:(fun () -> Tp_attacks.Harness.set_replay_enabled true)
-      (fun () ->
-        run_over plats (fun p ->
-            Printf.printf "replay-smoke: %s\n%!" p.Tp_hw.Platform.name;
+    run_over plats (fun p ->
+        Printf.printf "replay-smoke: %s\n%!" p.Tp_hw.Platform.name;
+        List.iter
+          (fun (cfg, slug) ->
             List.iter
-              (fun (cfg, slug) ->
-                List.iter
-                  (fun (chan : Tp_attacks.Cache_channels.t) ->
-                    let collect replay_on =
-                      Tp_attacks.Harness.set_replay_enabled replay_on;
-                      let b = Scenario.boot cfg p in
-                      let sender, receiver =
-                        chan.Tp_attacks.Cache_channels.prepare b
-                      in
-                      let spec =
-                        {
-                          (Tp_attacks.Harness.default_spec p) with
-                          Tp_attacks.Harness.samples = 150;
-                          symbols = chan.Tp_attacks.Cache_channels.symbols;
-                        }
-                      in
-                      let data =
-                        Tp_attacks.Harness.run_pair b ~sender ~receiver spec
-                          ~rng:(Tp_util.Rng.create ~seed:7)
-                      in
-                      ( data,
-                        Tp_hw.Machine.state_digest
-                          (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
-                    in
-                    let d_rep, m_rep = collect true in
-                    let d_live, m_live = collect false in
-                    let name = Printf.sprintf "%s/%s" slug
-                        chan.Tp_attacks.Cache_channels.name in
-                    check (name ^ ": dataset bit-identical")
-                      (d_rep = d_live) "replayed dataset differs from live";
-                    check (name ^ ": machine state bit-identical")
-                      (m_rep = m_live) (m_rep ^ " <> " ^ m_live))
-                  [ Tp_attacks.Cache_channels.l1d;
-                    Tp_attacks.Cache_channels.tlb ])
-              [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ]);
-        if !fails > 0 then begin
-          Printf.printf "replay-smoke: %d checks FAILED\n%!" !fails;
-          exit 1
-        end
-        else Printf.printf "replay-smoke: PASS\n%!")
+              (fun (chan : Tp_attacks.Cache_channels.t) ->
+                let collect replay =
+                  let b = Scenario.boot cfg p in
+                  let sender, receiver =
+                    chan.Tp_attacks.Cache_channels.prepare b
+                  in
+                  let spec =
+                    {
+                      (Tp_attacks.Harness.default_spec p) with
+                      Tp_attacks.Harness.samples = 150;
+                      symbols = chan.Tp_attacks.Cache_channels.symbols;
+                      replay;
+                    }
+                  in
+                  let data =
+                    Tp_attacks.Harness.run_pair b ~sender ~receiver spec
+                      ~rng:(Tp_util.Rng.create ~seed:7)
+                  in
+                  ( data,
+                    Tp_hw.Machine.state_digest
+                      (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
+                in
+                let d_rep, m_rep = collect true in
+                let d_live, m_live = collect false in
+                let name = Printf.sprintf "%s/%s" slug
+                    chan.Tp_attacks.Cache_channels.name in
+                check (name ^ ": dataset bit-identical")
+                  (d_rep = d_live) "replayed dataset differs from live";
+                check (name ^ ": machine state bit-identical")
+                  (m_rep = m_live) (m_rep ^ " <> " ^ m_live))
+              [ Tp_attacks.Cache_channels.l1d;
+                Tp_attacks.Cache_channels.tlb ])
+          [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ]);
+    if !fails > 0 then begin
+      Printf.printf "replay-smoke: %d checks FAILED\n%!" !fails;
+      exit 1
+    end
+    else Printf.printf "replay-smoke: PASS\n%!"
   in
   Cmd.v
     (Cmd.info "replay-smoke"
        ~doc:
          "Bit-identity A/B smoke test of record-once / replay-many: \
           run the same small collection with replay enabled and with \
-          $(b,--no-replay) semantics forced, and gate on the datasets \
+          every sender slice forced live, and gate on the datasets \
           and final machine states being byte-identical.  This is the \
           CI gate.")
     Term.(const run $ platform_arg $ verbose_arg)

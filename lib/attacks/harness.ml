@@ -29,13 +29,6 @@ let default_spec p =
     replay_seed = None;
   }
 
-(* Process-wide replay kill switch (tpsim --no-replay), for A/B
-   debugging: replay is bit-identical by construction, so flipping it
-   must never change a result — this switch is how one proves that on
-   a live discrepancy. *)
-let replay_enabled = Atomic.make true
-let set_replay_enabled v = Atomic.set replay_enabled v
-
 (* Process-wide default budget, for tooling (tpsim --budget) that
    cannot reach into every experiment's spec.  A spec's own budget
    fields win.  Atomic so the CLI can set it once and parallel workers
@@ -58,7 +51,6 @@ type result = {
   recovered_faults : int;
   checkpoints : int;
   switch_counters : Tp_obs.Counter.snapshot;
-  lint : Tp_analysis.Diag.report;
   cert : Tp_analysis.Certify.cert;
 }
 
@@ -73,106 +65,6 @@ let recover_thread sys tcb =
     tcb.Types.t_state <- Types.Ts_ready;
     Sched.enqueue (System.sched sys) ~core:tcb.Types.t_core tcb
   end
-
-(* The checkpointed collection loop shared by the single-core and
-   cross-core harnesses.  [run_chunk n] advances the simulation by [n]
-   scheduling units (slices or rounds); [collected ()] reports how
-   many samples have been recorded so far.  Returns the degradation
-   reason (if any), the number of kernel faults recovered and the
-   number of checkpoints taken.
-
-   Each chunk is a checkpoint: the sample lists only ever grow, so a
-   kernel fault mid-chunk costs at most the current chunk's partial
-   slices — everything recorded at the last checkpoint is kept and the
-   loop resumes, instead of the whole measurement aborting. *)
-(* Injection point crossed once per checkpointed chunk: arming it lets
-   the fail-at-step-N machinery strike the collection loop itself (not
-   just kernel setup paths) and exercise the recovery/degradation
-   contract below — the same proof obligation PR 1 imposed on kernel
-   operations, extended to the serving layer. *)
-let point_chunk = "harness.chunk"
-let () = Tp_fault.Fault.register point_chunk
-
-let collect sys ~threads ~total ~chunk_size ~budget ~target ~collected ~run_chunk =
-  (* Wall budget means wall time: Sys.time is CPU time, which both
-     undercounts when the process is descheduled and — summed across
-     domains — overcounts under -j N.  Unix.gettimeofday is the
-     monotonic-enough wall clock this toolchain has. *)
-  let wall0 = Unix.gettimeofday () in
-  let cycles0 = System.now sys ~core:0 in
-  (* Switch-path counters over this collection, for the result's
-     checkpoint metadata (all zeros when counters are off). *)
-  let sw0 = Tp_obs.Counter.snapshot (Domain_switch.counters ()) in
-  let stop = ref None in
-  let recovered = ref 0 in
-  let checkpoints = ref 0 in
-  let fruitless = ref 0 in
-  let done_ = ref 0 in
-  while !done_ < total && !stop = None && collected () < target do
-    let n = Stdlib.min chunk_size (total - !done_) in
-    let before = collected () in
-    (match
-       Tp_fault.Fault.hit point_chunk;
-       run_chunk n
-     with
-    | () -> fruitless := 0
-    | exception (Types.Kernel_error _ as e) ->
-        (* Partial-result recovery: keep everything collected so far,
-           re-admit the measurement threads, and carry on.  Repeated
-           faults without progress mean the system cannot make headway
-           — degrade instead of spinning. *)
-        incr recovered;
-        Klog.fault_recovered ~where:"Harness.collect" ~exn_:e;
-        List.iter (recover_thread sys) threads;
-        if collected () = before then begin
-          incr fruitless;
-          if !fruitless >= 3 then stop := Some "repeated kernel faults"
-        end
-        else fruitless := 0);
-    done_ := !done_ + n;
-    incr checkpoints;
-    Klog.harness_checkpoint
-      ~now:(System.now sys ~core:0)
-      ~chunk:!checkpoints ~collected:(collected ()) ();
-    (match budget.max_cycles with
-    | Some c when System.now sys ~core:0 - cycles0 >= c ->
-        stop := Some "cycle budget exhausted"
-    | Some _ | None -> ());
-    match budget.max_wall_s with
-    | Some s when Unix.gettimeofday () -. wall0 >= s ->
-        stop := Some "wall-clock budget exhausted"
-    | Some _ | None -> ()
-  done;
-  let switch_counters =
-    Tp_obs.Counter.delta ~before:sw0
-      ~after:(Tp_obs.Counter.snapshot (Domain_switch.counters ()))
-  in
-  (!stop, !recovered, !checkpoints, switch_counters)
-
-let finish ~b ~spec ~inputs ~outputs ~stop ~recovered ~checkpoints
-    ~switch_counters =
-  let input = Array.of_list (List.rev !inputs) in
-  let output = Array.of_list (List.rev !outputs) in
-  let n = Stdlib.min spec.samples (Array.length input) in
-  let shortfall = n < spec.samples in
-  let reason =
-    match stop with
-    | Some r -> Some r
-    | None -> if shortfall then Some "sample shortfall" else None
-  in
-  (match reason with
-  | Some r -> Klog.harness_degraded ~reason:r ~collected:n ()
-  | None -> ());
-  {
-    data = { Tp_channel.Mi.input = Array.sub input 0 n; output = Array.sub output 0 n };
-    degraded = shortfall || stop <> None;
-    degraded_reason = reason;
-    recovered_faults = recovered;
-    checkpoints;
-    switch_counters;
-    lint = Tp_analysis.Lint.check_static b;
-    cert = Tp_analysis.Certify.certify_static b;
-  }
 
 (* Per-symbol record-once / replay-many state for the sender side of a
    trial loop.  The first slice sending symbol [s] runs live with a
@@ -189,7 +81,7 @@ type sym_state =
   | Live
 
 let replayed_sender spec ~sender =
-  if not (spec.replay && Atomic.get replay_enabled) then sender
+  if not spec.replay then sender
   else begin
     let streams =
       match spec.replay_seed with
@@ -243,56 +135,25 @@ let record_streams b ~sender ~symbols ~slice_cycles =
   Exec.run_slices sys ~core:0 ~slice_cycles ~slices:(symbols + 2) ();
   streams
 
-let run_pair_result b ~sender ~receiver spec ~rng =
-  let sys = b.Boot.sys in
-  let sym_rng = Tp_util.Rng.split rng in
-  let noise_rng = Tp_util.Rng.split rng in
-  let cur_sym = ref (-1) in
-  let iteration = ref 0 in
-  let inputs = ref [] and outputs = ref [] in
-  let recorded = ref 0 in
-  let send = replayed_sender spec ~sender in
-  let sender_body ctx =
-    let s = Tp_util.Rng.int sym_rng spec.symbols in
-    cur_sym := s;
-    send ctx s
-  in
-  let receiver_body ctx =
-    let m = receiver ctx in
-    (match m with
-    | Some y when !cur_sym >= 0 && !iteration >= spec.warmup ->
-        inputs := !cur_sym :: !inputs;
-        outputs :=
-          (y +. Tp_util.Rng.gaussian noise_rng ~mu:0.0 ~sigma:spec.noise_sigma)
-          :: !outputs;
-        incr recorded
-    | Some _ | None -> ());
-    incr iteration
-  in
-  let st = Boot.spawn b b.Boot.domains.(0) sender_body in
-  let rt = Boot.spawn b b.Boot.domains.(1) receiver_body in
-  (* Two slices per iteration (sender then receiver), plus slack for
-     warmup and the first scheduling round. *)
-  let slices = 2 * (spec.samples + spec.warmup + 2) in
-  let stop, recovered, checkpoints, switch_counters =
-    collect sys ~threads:[ st; rt ] ~total:slices
-      ~chunk_size:(Stdlib.max 1 spec.checkpoint_slices)
-      ~budget:(effective_budget spec) ~target:spec.samples
-      ~collected:(fun () -> !recorded)
-      ~run_chunk:(fun n ->
-        Exec.run_slices sys ~core:0 ~slice_cycles:spec.slice_cycles ~slices:n ())
-  in
-  finish ~b ~spec ~inputs ~outputs ~stop ~recovered ~checkpoints ~switch_counters
+(* Injection point crossed once per checkpointed chunk: arming it lets
+   the fail-at-step-N machinery strike the collection loop itself (not
+   just kernel setup paths) and exercise the recovery/degradation
+   contract below. *)
+let point_chunk = "harness.chunk"
+let () = Tp_fault.Fault.register point_chunk
 
-let run_pair b ~sender ~receiver spec ~rng =
-  let r = run_pair_result b ~sender ~receiver spec ~rng in
-  if Array.length r.data.Tp_channel.Mi.input = 0 then
-    invalid_arg
-      "Harness.run_pair: no samples collected — the receiver never completed \
-       a measurement within its slice (slice_cycles too small for the probe?)";
-  r.data
+(* The one trial loop behind every entry point below.  The sender runs
+   in domain 0 on core 0 and the receiver in domain 1 on
+   [receiver_core]; [run_chunk n] advances the simulation by [n]
+   scheduling units (slices or rounds), [units_per_sample] of which
+   make one channel use.
 
-let run_pair_cross_core_result b ~sender ~receiver ~cosched spec ~rng =
+   Each chunk is a checkpoint: the sample lists only ever grow, so a
+   kernel fault mid-chunk costs at most the current chunk's partial
+   slices — everything recorded at the last checkpoint is kept and the
+   loop resumes, instead of the whole measurement aborting. *)
+let collect b ~sender ~receiver ~receiver_core ~units_per_sample ~run_chunk
+    spec ~rng =
   let sys = b.Boot.sys in
   let sym_rng = Tp_util.Rng.split rng in
   let noise_rng = Tp_util.Rng.split rng in
@@ -317,40 +178,127 @@ let run_pair_cross_core_result b ~sender ~receiver ~cosched spec ~rng =
     | Some _ | None -> ());
     incr iteration
   in
-  let st = Boot.spawn b b.Boot.domains.(0) ~core:0 sender_body in
-  let rt = Boot.spawn b b.Boot.domains.(1) ~core:1 receiver_body in
-  let cores = [ 0; 1 ] in
-  let rounds =
-    (* Concurrent: one round = one sender + one receiver slice.
-       Co-scheduled: the domain rotation needs two rounds per sample. *)
-    (if cosched then 2 else 1) * (spec.samples + spec.warmup + 2)
+  let st = Boot.spawn b b.Boot.domains.(0) sender_body in
+  let rt = Boot.spawn b b.Boot.domains.(1) ~core:receiver_core receiver_body in
+  (* Slack beyond the samples for warmup and the first scheduling
+     round. *)
+  let total = units_per_sample * (spec.samples + spec.warmup + 2) in
+  let chunk_size = Stdlib.max 1 spec.checkpoint_slices in
+  let budget = effective_budget spec in
+  (* Wall budget means wall time: Sys.time is CPU time, which both
+     undercounts when the process is descheduled and — summed across
+     domains — overcounts under -j N.  Unix.gettimeofday is the
+     monotonic-enough wall clock this toolchain has. *)
+  let wall0 = Unix.gettimeofday () in
+  let cycles0 = System.now sys ~core:0 in
+  (* Switch-path counters over this collection, for the result's
+     checkpoint metadata (all zeros when counters are off). *)
+  let sw0 = Tp_obs.Counter.snapshot (Domain_switch.counters ()) in
+  let stop = ref None in
+  let recovered = ref 0 in
+  let checkpoints = ref 0 in
+  let fruitless = ref 0 in
+  let done_ = ref 0 in
+  while !done_ < total && !stop = None && !recorded < spec.samples do
+    let n = Stdlib.min chunk_size (total - !done_) in
+    let before = !recorded in
+    (match
+       Tp_fault.Fault.hit point_chunk;
+       run_chunk n
+     with
+    | () -> fruitless := 0
+    | exception (Types.Kernel_error _ as e) ->
+        (* Partial-result recovery: keep everything collected so far,
+           re-admit the measurement threads, and carry on.  Repeated
+           faults without progress mean the system cannot make headway
+           — degrade instead of spinning. *)
+        incr recovered;
+        Klog.fault_recovered ~where:"Harness.collect" ~exn_:e;
+        List.iter (recover_thread sys) [ st; rt ];
+        if !recorded = before then begin
+          incr fruitless;
+          if !fruitless >= 3 then stop := Some "repeated kernel faults"
+        end
+        else fruitless := 0);
+    done_ := !done_ + n;
+    incr checkpoints;
+    Klog.harness_checkpoint
+      ~now:(System.now sys ~core:0)
+      ~chunk:!checkpoints ~collected:!recorded ();
+    (match budget.max_cycles with
+    | Some c when System.now sys ~core:0 - cycles0 >= c ->
+        stop := Some "cycle budget exhausted"
+    | Some _ | None -> ());
+    match budget.max_wall_s with
+    | Some s when Unix.gettimeofday () -. wall0 >= s ->
+        stop := Some "wall-clock budget exhausted"
+    | Some _ | None -> ()
+  done;
+  let switch_counters =
+    Tp_obs.Counter.delta ~before:sw0
+      ~after:(Tp_obs.Counter.snapshot (Domain_switch.counters ()))
   in
+  let input = Array.of_list (List.rev !inputs) in
+  let output = Array.of_list (List.rev !outputs) in
+  let n = Stdlib.min spec.samples (Array.length input) in
+  let shortfall = n < spec.samples in
+  let reason =
+    match !stop with
+    | Some r -> Some r
+    | None -> if shortfall then Some "sample shortfall" else None
+  in
+  (match reason with
+  | Some r -> Klog.harness_degraded ~reason:r ~collected:n ()
+  | None -> ());
+  {
+    data = { Tp_channel.Mi.input = Array.sub input 0 n; output = Array.sub output 0 n };
+    degraded = shortfall || !stop <> None;
+    degraded_reason = reason;
+    recovered_faults = !recovered;
+    checkpoints = !checkpoints;
+    switch_counters;
+    cert = Tp_analysis.Certify.certify_static b;
+  }
+
+let samples_of ?(hint = "") entry r =
+  if Array.length r.data.Tp_channel.Mi.input = 0 then
+    invalid_arg ("Harness." ^ entry ^ ": no samples collected" ^ hint);
+  r.data
+
+let run_pair_result b ~sender ~receiver spec ~rng =
+  let sys = b.Boot.sys in
+  (* Two slices per sample: the sender's, then the receiver's. *)
+  collect b ~sender ~receiver ~receiver_core:0 ~units_per_sample:2
+    ~run_chunk:(fun n ->
+      Exec.run_slices sys ~core:0 ~slice_cycles:spec.slice_cycles ~slices:n ())
+    spec ~rng
+
+let run_pair b ~sender ~receiver spec ~rng =
+  samples_of "run_pair"
+    ~hint:
+      " — the receiver never completed a measurement within its slice \
+       (slice_cycles too small for the probe?)"
+    (run_pair_result b ~sender ~receiver spec ~rng)
+
+let run_pair_cross_core b ~sender ~receiver ~cosched spec ~rng =
+  let sys = b.Boot.sys in
+  let cores = [ 0; 1 ] in
   let run_chunk n =
     if cosched then
       Exec.run_coscheduled sys ~cores ~slice_cycles:spec.slice_cycles ~rounds:n ()
     else
       Exec.run_concurrent sys ~cores ~slice_cycles:spec.slice_cycles ~rounds:n ()
   in
-  let stop, recovered, checkpoints, switch_counters =
-    collect sys ~threads:[ st; rt ] ~total:rounds
-      ~chunk_size:(Stdlib.max 1 spec.checkpoint_slices)
-      ~budget:(effective_budget spec) ~target:spec.samples
-      ~collected:(fun () -> !recorded)
-      ~run_chunk
-  in
-  finish ~b ~spec ~inputs ~outputs ~stop ~recovered ~checkpoints
-    ~switch_counters
-
-let run_pair_cross_core b ~sender ~receiver ~cosched spec ~rng =
-  let r = run_pair_cross_core_result b ~sender ~receiver ~cosched spec ~rng in
-  if Array.length r.data.Tp_channel.Mi.input = 0 then
-    invalid_arg "Harness.run_pair_cross_core: no samples collected";
-  r.data
+  (* Concurrent: one round = one sender + one receiver slice.
+     Co-scheduled: the domain rotation needs two rounds per sample. *)
+  collect b ~sender ~receiver ~receiver_core:1
+    ~units_per_sample:(if cosched then 2 else 1)
+    ~run_chunk spec ~rng
+  |> samples_of "run_pair_cross_core"
 
 let measure_leak_result b ~sender ~receiver spec ~rng =
   let r = run_pair_result b ~sender ~receiver spec ~rng in
-  if Array.length r.data.Tp_channel.Mi.input = 0 then
-    invalid_arg "Harness.measure_leak: no samples collected";
+  ignore (samples_of "measure_leak" r : Tp_channel.Mi.samples);
   (Tp_channel.Leakage.test ~rng r.data, r)
 
 let measure_leak b ~sender ~receiver spec ~rng =

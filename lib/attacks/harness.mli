@@ -35,26 +35,26 @@ type spec = {
   checkpoint_slices : int;  (** slices per checkpointed chunk *)
   budget : budget;  (** optional collection limits *)
   replay : bool;
-      (** allow record-once / replay-many sender slices ({!Tp_hw.Replay}).
-          Bit-identical to live execution for senders whose entire
-          observable behaviour goes through their [Uctx.t] (true of
-          every shipped channel; clock/syscall use self-disqualifies by
-          poisoning).  A sender that communicates through host-side
-          state the machine never sees must set this to [false]. *)
+      (** allow record-once / replay-many sender slices ({!Tp_hw.Replay}):
+          each symbol's first send runs live with a recorder attached,
+          later sends of that symbol replay the recording.  Bit-identical
+          to live execution for senders whose entire observable
+          behaviour goes through their [Uctx.t] (true of every shipped
+          channel; clock/syscall use self-disqualifies by poisoning).
+          This is the one replay kill switch: [false] runs every sender
+          slice live, and a sender that communicates through host-side
+          state the machine never sees must set it. *)
   replay_seed : Tp_hw.Replay.t array option;
-      (** pre-recorded per-symbol sender streams (e.g. from
-          {!record_streams}), replayed from the very first slice;
-          [None] records lazily on each symbol's first send *)
+      (** pre-recorded per-symbol sender streams (from {!record_streams}
+          on an identically booted system), replayed from the very first
+          slice; [None] (the default, and what the campaign engine uses)
+          records lazily on each symbol's first send.  Its callers are
+          the benchmark's traced re-drive and the replay tests. *)
 }
 
 val default_spec : Tp_hw.Platform.t -> spec
 (** 1 ms slices, 1500 samples, 4 symbols, small noise, 64-slice
     checkpoints, no budget, replay on (unseeded). *)
-
-val set_replay_enabled : bool -> unit
-(** Process-wide replay kill switch (tpsim's [--no-replay]); off means
-    every sender slice runs live regardless of spec.  For A/B
-    debugging — flipping it must never change any result. *)
 
 val record_streams :
   Tp_kernel.Boot.booted ->
@@ -63,7 +63,7 @@ val record_streams :
   slice_cycles:int ->
   Tp_hw.Replay.t array
 (** Record one sender slice per symbol (0, 1, …) in domain 0 on core 0
-    of [b] — the campaign engine's scratch pre-pass.  Streams record op
+    of [b], for [spec.replay_seed].  Streams record op
     identities only, so a stream recorded on one freshly booted system
     replays bit-identically on any identically booted one.  Streams of
     senders that poison their recording, or that overrun the slice,
@@ -83,13 +83,10 @@ type result = {
   switch_counters : Tp_obs.Counter.snapshot;
       (** delta of the kernel switch-path counters over the collection
           (all zeros unless counters are enabled, {!Tp_obs.Ctl}) *)
-  lint : Tp_analysis.Diag.report;
-      (** static partition-lint verdict ({!Tp_analysis.Lint.check_static})
-          of the configuration this result was measured under, so every
-          dataset records whether its protection claims actually held *)
   cert : Tp_analysis.Certify.cert;
       (** certified leakage bound ({!Tp_analysis.Certify.certify_static})
-          of the same configuration: any MI later measured from [data]
+          of the configuration this result was measured under: any MI
+          later measured from [data]
           must stay at or below [Certify.total_bits cert] — the
           cross-validation the certifier's test suite enforces *)
 }
@@ -131,16 +128,6 @@ val run_pair_cross_core :
     [cosched:true] they are gang-scheduled so only one domain is ever
     executing ({!Tp_kernel.Exec.run_coscheduled}, the §3.1.1
     confinement mitigation). *)
-
-val run_pair_cross_core_result :
-  Tp_kernel.Boot.booted ->
-  sender:(Tp_kernel.Uctx.t -> int -> unit) ->
-  receiver:(Tp_kernel.Uctx.t -> float option) ->
-  cosched:bool ->
-  spec ->
-  rng:Tp_util.Rng.t ->
-  result
-(** Checkpointed cross-core variant, never raises on partial data. *)
 
 val measure_leak :
   Tp_kernel.Boot.booted ->

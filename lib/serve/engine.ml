@@ -104,12 +104,6 @@ let config_slugs =
 let channel_slugs =
   [ "l1d"; "l1i"; "tlb"; "btb"; "bhb"; "l2"; "kernel"; "flush" ]
 
-(* Channels whose senders are pure Machine-op bodies, eligible for the
-   record-once / replay-many hot path.  The kernel and flush channels
-   enter the kernel / read the clock, which poisons a recording; they
-   always run live (and would self-disqualify anyway). *)
-let replayable_channels = [ "l1d"; "l1i"; "tlb"; "btb"; "bhb"; "l2" ]
-
 let code_rev =
   (* Hashing the executable once per process: any rebuild invalidates
      every cache entry, so a stale store can never answer for changed
@@ -228,64 +222,11 @@ let prepare_channel c b =
       in
       (ch.Cc.prepare b, ch.Cc.symbols)
 
-(* ---- record-once / replay-many pre-pass -------------------------- *)
-
-(* Per-(platform, config, channel) victim op streams, recorded once per
-   process against a scratch boot and shared by every trial of the
-   combination.  Booting and buffer allocation are deterministic, so a
-   stream recorded on the scratch system is valid — op identities are
-   position-independent — on every trial's own fresh boot.  Guarded by
-   a mutex: one scratch boot per combination even under [-j N]. *)
-let stream_memo : (string * string * string, Tp_hw.Replay.t array option) Hashtbl.t
-    =
-  Hashtbl.create 16
-
-let stream_memo_mu = Mutex.create ()
-
-let record_cell_streams c =
-  let b = Scenario.boot c.cl_kind c.cl_plat in
-  let (sender, _receiver), symbols = prepare_channel c b in
-  let streams =
-    Harness.record_streams b ~sender ~symbols
-      ~slice_cycles:(Harness.default_spec c.cl_plat).Harness.slice_cycles
-  in
-  (* All-or-nothing: one incomplete (cut-short or poisoned) stream and
-     the whole combination runs live — a half-seeded bundle would make
-     the cache key's stream digest lie about what replay covers. *)
-  if Array.for_all Tp_hw.Replay.complete streams then Some streams else None
-
-let streams_for (j : Protocol.job) c =
-  if not (j.Protocol.j_replay && List.mem c.cl_channel replayable_channels)
-  then None
-  else begin
-    let key = (c.cl_platform, c.cl_config, c.cl_channel) in
-    Mutex.lock stream_memo_mu;
-    let r =
-      match Hashtbl.find_opt stream_memo key with
-      | Some v -> v
-      | None ->
-          let v = try record_cell_streams c with _ -> None in
-          Hashtbl.replace stream_memo key v;
-          v
-    in
-    Mutex.unlock stream_memo_mu;
-    r
-  end
-
-let streams_digest = function
-  | None -> "no-replay"
-  | Some streams ->
-      "replay:"
-      ^ Digest.to_hex
-          (Digest.string
-             (String.concat ","
-                (Array.to_list (Array.map Tp_hw.Replay.digest streams))))
-
 let cell_key ~code_rev (j : Protocol.job) c =
   Store.key ~code_rev
     ~parts:
       [
-        "tpsim-store/5";
+        "tpsim-store/6";
         c.cl_platform;
         c.cl_config;
         c.cl_channel;
@@ -294,10 +235,11 @@ let cell_key ~code_rev (j : Protocol.job) c =
         (match j.Protocol.j_trial_cycle_budget with
         | None -> "unbounded"
         | Some b -> string_of_int b);
-        (* The victim-trace digests this trial may replay (or
-           "no-replay"): the key tells the whole provenance story, even
-           though replay is bit-identical by construction. *)
-        streams_digest (streams_for j c);
+        (* Replay is bit-identical by construction, and the streams it
+           records depend only on code rev, platform, config and
+           channel, all already in the key; the marker keeps a live
+           (A/B) sweep from being answered by replayed results. *)
+        (if j.Protocol.j_replay then "replay" else "live");
         string_of_int c.cl_trial;
       ]
 
@@ -322,7 +264,6 @@ let compute_cell (j : Protocol.job) c =
           max_wall_s = j.Protocol.j_trial_timeout_s;
         };
       replay = j.Protocol.j_replay;
-      replay_seed = streams_for j c;
     }
   in
   let rng = cell_rng j c in

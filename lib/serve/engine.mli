@@ -62,10 +62,12 @@ val cells_of_job : Protocol.job -> (cell list, string) result
 
 val cell_key : code_rev:string -> Protocol.job -> cell -> string
 (** The store key of one cell: digest over schema, platform, config,
-    channel, seed, samples, cycle budget and trial index. *)
+    channel, seed, samples, cycle budget, replay marker
+    (["replay"]/["live"], from [j_replay]) and trial index. *)
 
 val compute_cell : Protocol.job -> cell -> (string, string) result
-(** Run one trial (fresh boot, per-cell RNG stream) and return its
+(** Run one trial (fresh boot, per-cell RNG stream, sender replay
+    per [j_replay] via [Harness.spec.replay]) and return its
     stored blob, or [Error reason] for non-cacheable outcomes (wall
     timeout, empty collection).  The blob records the trial's certified
     leakage bounds — {!Tp_analysis.Certify.total_bits} of the harness

@@ -160,6 +160,14 @@ let job_to_json j =
       ("replay", Json.Bool j.j_replay);
     ]
 
+(* Seconds from the wire: an infinite backoff would park a pool worker
+   in [Unix.sleepf] for good, and a negative one means nothing. *)
+let opt_seconds j k =
+  match opt_num j k with
+  | Some f when not (Float.is_finite f && f >= 0.0) ->
+      Error (Printf.sprintf "%s must be a finite number >= 0" k)
+  | v -> Ok v
+
 let job_of_json j =
   let* id = get_str j "id" in
   let* platforms = get_str_list j "platforms" in
@@ -169,9 +177,15 @@ let job_of_json j =
   let* seed = get_int j "seed" in
   let* samples = get_int j "samples" in
   let* max_retries = get_int j "max_retries" in
+  let* trial_timeout_s = opt_seconds j "trial_timeout_s" in
+  let* wall_budget_s = opt_seconds j "wall_budget_s" in
+  let* retry_backoff_s = opt_seconds j "retry_backoff_s" in
+  let trial_cycle_budget = opt_int j "trial_cycle_budget" in
   if trials < 1 then Error "trials must be >= 1"
   else if samples < 1 then Error "samples must be >= 1"
   else if max_retries < 0 then Error "max_retries must be >= 0"
+  else if Option.fold ~none:false ~some:(fun b -> b < 0) trial_cycle_budget
+  then Error "trial_cycle_budget must be >= 0"
   else
     Ok
       {
@@ -182,12 +196,11 @@ let job_of_json j =
         j_trials = trials;
         j_seed = seed;
         j_samples = samples;
-        j_trial_cycle_budget = opt_int j "trial_cycle_budget";
-        j_trial_timeout_s = opt_num j "trial_timeout_s";
-        j_wall_budget_s = opt_num j "wall_budget_s";
+        j_trial_cycle_budget = trial_cycle_budget;
+        j_trial_timeout_s = trial_timeout_s;
+        j_wall_budget_s = wall_budget_s;
         j_max_retries = max_retries;
-        j_retry_backoff_s =
-          Option.value ~default:0.05 (opt_num j "retry_backoff_s");
+        j_retry_backoff_s = Option.value ~default:0.05 retry_backoff_s;
         (* Absent in pre-replay clients' jobs: default on (replay is
            bit-identical, so the default is safe). *)
         j_replay =

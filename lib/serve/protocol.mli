@@ -36,9 +36,11 @@ type job = {
   j_max_retries : int;  (** extra attempts per faulted trial *)
   j_retry_backoff_s : float;  (** base backoff (doubles per attempt) *)
   j_replay : bool;
-      (** allow record-once / replay-many sender slices (bit-identical
-          to live execution; [--no-replay] turns it off for A/B
-          debugging).  In the cache key. *)
+      (** allow record-once / replay-many sender slices: the engine
+          passes it as [Harness.spec.replay].  Replay is bit-identical
+          to live execution ([tpsim sweep --no-replay] turns it off for
+          A/B debugging); the cache key carries it as a ["replay"] /
+          ["live"] marker so a live sweep recomputes its cells. *)
 }
 
 val job : ?id:string -> ?platforms:string list -> ?configs:string list ->
@@ -130,6 +132,12 @@ val trial_of_stored : key:string -> string -> (trial, string) result
 
 val job_to_json : job -> Tp_util.Json.t
 val job_of_json : Tp_util.Json.t -> (job, string) result
+(** Parse and validate a wire job.  Besides missing fields it rejects,
+    with an [Error] naming the field, [trials]/[samples] below 1,
+    negative [max_retries] or [trial_cycle_budget], and
+    [trial_timeout_s]/[wall_budget_s]/[retry_backoff_s] that are
+    negative or not finite. *)
+
 val trial_to_json : trial -> Tp_util.Json.t
 val result_to_json : job_result -> Tp_util.Json.t
 val result_of_json : Tp_util.Json.t -> (job_result, string) result

@@ -216,40 +216,90 @@ let test_record_streams_deterministic () =
 
 (* ---- harness-level bit-identity --------------------------------- *)
 
-let collect ~replay kind =
-  Tp_attacks.Harness.set_replay_enabled replay;
-  let b = Scenario.boot kind haswell in
+(* The three ways a collection can run its sender: fully live
+   ([spec.replay = false]), lazily recorded on each symbol's first send
+   (the default, and the campaign engine's path), or seeded with
+   streams that [record_streams] took on a second, identical boot (the
+   benchmark's traced re-drive). *)
+type mode = Live | Lazy | Seeded
+
+let mode_name = function Live -> "live" | Lazy -> "lazy" | Seeded -> "seeded"
+
+(* Channels as (name, prepare, symbols).  The kernel channel's symbols
+   0-2 poison their recordings and symbol 3 replays, so it drives the
+   lazy state machine through a mix of replayed and live symbols. *)
+let tlb_channel =
   let chan = Tp_attacks.Cache_channels.tlb in
-  let sender, receiver = chan.Tp_attacks.Cache_channels.prepare b in
+  ( "tlb",
+    chan.Tp_attacks.Cache_channels.prepare,
+    chan.Tp_attacks.Cache_channels.symbols )
+
+let kernel_channel =
+  ("kernel", Tp_attacks.Kernel_chan.prepare, Tp_attacks.Kernel_chan.symbols)
+
+(* Dataset, final machine-state digest and number of replayed sender
+   slices of one collection. *)
+let collect ~mode (_, prepare, symbols) kind =
+  let default = Tp_attacks.Harness.default_spec haswell in
+  let replay_seed =
+    match mode with
+    | Seeded ->
+        let b = Scenario.boot kind haswell in
+        let sender, _ = prepare b in
+        Some
+          (Tp_attacks.Harness.record_streams b ~sender ~symbols
+             ~slice_cycles:default.Tp_attacks.Harness.slice_cycles)
+    | Live | Lazy -> None
+  in
+  let b = Scenario.boot kind haswell in
+  let sender, receiver = prepare b in
   let spec =
     {
-      (Tp_attacks.Harness.default_spec haswell) with
+      default with
       Tp_attacks.Harness.samples = 120;
-      symbols = chan.Tp_attacks.Cache_channels.symbols;
+      symbols;
+      replay = mode <> Live;
+      replay_seed;
     }
   in
-  let data =
-    Tp_attacks.Harness.run_pair b ~sender ~receiver spec
-      ~rng:(Tp_util.Rng.create ~seed:11)
+  let data, crossings =
+    Tp_fault.Fault.trace (fun () ->
+        Tp_attacks.Harness.run_pair b ~sender ~receiver spec
+          ~rng:(Tp_util.Rng.create ~seed:11))
+  in
+  let replayed =
+    List.length
+      (List.filter (fun (point, _) -> point = Replay.point_step) crossings)
   in
   ( data,
-    Machine.state_digest (Tp_kernel.System.machine b.Tp_kernel.Boot.sys) )
+    Machine.state_digest (Tp_kernel.System.machine b.Tp_kernel.Boot.sys),
+    replayed )
 
 let test_harness_replay_bit_identical () =
-  Fun.protect
-    ~finally:(fun () -> Tp_attacks.Harness.set_replay_enabled true)
-    (fun () ->
+  List.iter
+    (fun ((chan, _, _) as channel) ->
       List.iter
-        (fun (kind, name) ->
-          let d_rep, m_rep = collect ~replay:true kind in
-          let d_live, m_live = collect ~replay:false kind in
-          Alcotest.(check bool)
-            (name ^ ": replayed dataset = live dataset")
-            true (d_rep = d_live);
-          Alcotest.(check string)
-            (name ^ ": replayed machine state = live machine state")
-            m_live m_rep)
+        (fun (kind, config) ->
+          let d_live, m_live, n_live = collect ~mode:Live channel kind in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: live run replays nothing" config chan)
+            0 n_live;
+          List.iter
+            (fun mode ->
+              let name =
+                Printf.sprintf "%s/%s/%s" config chan (mode_name mode)
+              in
+              let d, m, n = collect ~mode channel kind in
+              Alcotest.(check bool) (name ^ ": sender slices replayed") true
+                (n > 0);
+              Alcotest.(check bool) (name ^ ": dataset = live dataset") true
+                (d = d_live);
+              Alcotest.(check string)
+                (name ^ ": machine state = live machine state")
+                m_live m)
+            [ Lazy; Seeded ])
         [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ])
+    [ tlb_channel; kernel_channel ]
 
 (* The kernel-channel sender enters the kernel for symbols 0-2, so
    those recordings must poison themselves (replay can't reproduce a

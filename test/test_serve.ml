@@ -102,6 +102,26 @@ let test_job_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "field-less job accepted"
 
+(* A job as it arrives on the socket, with one field overridden by raw
+   wire text (so e.g. [1e999] goes through the JSON parser). *)
+let wire_job_with k text =
+  match P.job_to_json (P.job ()) with
+  | Tp_util.Json.Obj fs ->
+      Tp_util.Json.Obj
+        ((k, Tp_util.Json.parse text) :: List.remove_assoc k fs)
+  | _ -> Alcotest.fail "job_to_json is not an object"
+
+let rejects_field k texts () =
+  List.iter
+    (fun text ->
+      match P.job_of_json (wire_job_with k text) with
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = %s: error names the field" k text)
+            true (contains_sub e k)
+      | Ok _ -> Alcotest.failf "%s = %s accepted" k text)
+    texts
+
 let test_stored_blob_roundtrip () =
   let t =
     { (stub_trial { E.cl_platform = "haswell"; cl_plat = Tp_hw.Platform.haswell;
@@ -210,6 +230,27 @@ let test_cell_key_independent_of_job_shape () =
     "same cell, same key, any job shape"
     (E.cell_key ~code_rev:"r" j1 c1)
     (E.cell_key ~code_rev:"r" j4 c4)
+
+(* Replay is bit-identical and the store key's replay marker is the
+   only trace it leaves: the same l1d cell computed with replay on and
+   forced live stores the same bytes under keys that differ, and the
+   two jobs differ in nothing but [j_replay]. *)
+let test_engine_replay_matches_live () =
+  let replayed =
+    P.job ~id:"replay" ~platforms:[ "haswell" ] ~configs:[ "protected" ]
+      ~channels:[ "l1d" ] ~trials:1 ~seed:5 ~samples:60 ()
+  in
+  let live = { replayed with P.j_replay = false } in
+  let c = List.hd (Result.get_ok (E.cells_of_job replayed)) in
+  let blob j =
+    match E.compute_cell j c with
+    | Ok blob -> blob
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "stored blob identical" (blob live) (blob replayed);
+  Alcotest.(check bool)
+    "key carries the replay marker" true
+    (E.cell_key ~code_rev:"r" replayed c <> E.cell_key ~code_rev:"r" live c)
 
 let test_retry_recovers_transient () =
   with_dir (fun dir ->
@@ -585,6 +626,14 @@ let suite =
   [
     Alcotest.test_case "job wire round-trip" `Quick test_job_roundtrip;
     Alcotest.test_case "job validation" `Quick test_job_validation;
+    Alcotest.test_case "job validation: retry_backoff_s" `Quick
+      (rejects_field "retry_backoff_s" [ "1e999"; "-1e999"; "-0.5" ]);
+    Alcotest.test_case "job validation: trial_timeout_s" `Quick
+      (rejects_field "trial_timeout_s" [ "-5"; "1e999" ]);
+    Alcotest.test_case "job validation: wall_budget_s" `Quick
+      (rejects_field "wall_budget_s" [ "-1"; "1e999" ]);
+    Alcotest.test_case "job validation: trial_cycle_budget" `Quick
+      (rejects_field "trial_cycle_budget" [ "-7" ]);
     Alcotest.test_case "stored blob round-trip" `Quick
       test_stored_blob_roundtrip;
     Alcotest.test_case "result wire round-trip" `Quick test_result_roundtrip;
@@ -592,6 +641,8 @@ let suite =
     Alcotest.test_case "complete then cached" `Quick test_complete_then_cached;
     Alcotest.test_case "cell key independent of job shape" `Quick
       test_cell_key_independent_of_job_shape;
+    Alcotest.test_case "engine replay = live, keys differ by marker" `Quick
+      test_engine_replay_matches_live;
     Alcotest.test_case "retry recovers transient faults" `Quick
       test_retry_recovers_transient;
     Alcotest.test_case "retries exhausted fails the trial" `Quick
