@@ -8,18 +8,16 @@ open Tp_core
 (* A proper enum conv: an unknown platform is a usage error with the
    valid alternatives listed, not an Invalid_argument backtrace. *)
 let platform_choices =
-  [
-    ("haswell", [ Tp_hw.Platform.haswell ]);
-    ("sabre", [ Tp_hw.Platform.sabre ]);
-    ("armv8", [ Tp_hw.Platform.armv8 ]);
-    ("both", [ Tp_hw.Platform.haswell; Tp_hw.Platform.sabre ]);
-    ("all", Tp_hw.Platform.all);
-  ]
+  List.map (fun p -> (p.Tp_hw.Platform.name, [ p ])) Tp_hw.Platform.all
+  @ [
+      ("both", [ Tp_hw.Platform.haswell; Tp_hw.Platform.sabre ]);
+      ("all", Tp_hw.Platform.all);
+    ]
 
 let platform_arg =
   let doc =
-    "Platform: $(b,haswell), $(b,sabre), $(b,armv8), $(b,both) (the \
-     paper's two) or $(b,all)."
+    "Platform: " ^ Arg.doc_alts_enum platform_choices
+    ^ "; $(b,both) is the paper's two."
   in
   Arg.(
     value
@@ -415,26 +413,35 @@ let stats q ~seed:_ p =
        under-reports; trace a shorter window@."
       dropped
 
+(* The paper's evaluation plus the beyond-paper demos, in the order
+   `all` runs them; each is also a subcommand. *)
+let experiments =
+  [
+    ("table2", "Worst-case cache flush costs (Table 2).", table2);
+    ("fig3", "Kernel-image covert channel matrix (Figure 3).", fig3);
+    ("table3", "Intra-core timing channels (Table 3).", table3);
+    ("fig4", "Cross-core LLC side channel vs ElGamal (Figure 4).", fig4);
+    ("table4", "Cache-flush latency channel incl. Figure 5 (Table 4).", table4);
+    ("fig6", "Timer-interrupt channel (Figure 6).", fig6);
+    ("table5", "IPC microbenchmark (Table 5).", table5);
+    ("table6", "Domain-switch cost (Table 6).", table6);
+    ("table7", "Kernel clone/destroy cost (Table 7).", table7);
+    ("fig7", "Splash-2 colouring slowdowns (Figure 7).", fig7);
+    ("table8", "Time-shared Splash-2 overhead (Table 8).", table8);
+    ("bus", "Interconnect covert channel demo (beyond paper).", bus);
+    ("dram", "DRAM row-buffer channel demo (beyond paper).", dram);
+    ("cosched", "Gang-scheduling mitigation demo (Sec. 3.1.1).", cosched);
+    ("cat", "Intel CAT way-partitioning demo (Sec. 2.3).", cat);
+    ("mls", "Bell-LaPadula padding policy demo (Sec. 4.3).", mls);
+    ( "calibrate",
+      "Empirical worst-case pad calibration (Sec. 4.3).",
+      calibrate );
+  ]
+
 let all q ~seed p =
   Format.printf "==================== %s ====================@.@."
     p.Tp_hw.Platform.name;
-  table2 q ~seed p;
-  fig3 q ~seed p;
-  table3 q ~seed p;
-  fig4 q ~seed p;
-  table4 q ~seed p;
-  fig6 q ~seed p;
-  table5 q ~seed p;
-  table6 q ~seed p;
-  table7 q ~seed p;
-  fig7 q ~seed p;
-  table8 q ~seed p;
-  bus q ~seed p;
-  dram q ~seed p;
-  cosched q ~seed p;
-  cat q ~seed p;
-  mls q ~seed p;
-  calibrate q ~seed p
+  List.iter (fun (_, _, f) -> f q ~seed p) experiments
 
 (* Fresh scratch directory under the system temp dir.  /tmp, not
    _build: Unix-domain socket paths (serve-smoke) are limited to ~107
@@ -708,35 +715,14 @@ let cmd_faults =
           injection point and check the global invariants.")
     Term.(const run $ platform_arg $ verbose_arg)
 
-let scenario_choices =
-  [
-    ("raw", Scenario.Raw);
-    ("full-flush", Scenario.Full_flush);
-    ("protected", Scenario.Protected);
-    ("coloured-only", Scenario.Coloured_only);
-    ("no-pad", Scenario.Protected_no_pad);
-    ("no-prefetcher", Scenario.Protected_no_prefetcher);
-    ("cat-llc", Scenario.Cat_llc);
-  ]
-
-(* Stable slug for a scenario kind: the CLI spelling, reused for
-   certificate artifact names and the daemon's config column. *)
-let slug_of_kind kind =
-  fst (List.find (fun (_, k) -> k = kind) scenario_choices)
+let config_alts = List.map (fun k -> (Scenario.slug k, k)) Scenario.all
 
 let config_arg =
-  let doc =
-    "Scenario to lint: $(b,raw), $(b,full-flush), $(b,protected), \
-     $(b,coloured-only), $(b,no-pad), $(b,no-prefetcher) or $(b,cat-llc)."
-  in
+  let doc = "Scenario to lint: " ^ Arg.doc_alts_enum config_alts ^ "." in
   Arg.(
     value
-    & opt (enum scenario_choices) Scenario.Protected
+    & opt (enum config_alts) Scenario.Protected
     & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
-
-let domains_arg =
-  let doc = "Number of security domains to boot." in
-  Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc = "Emit the reports as a JSON array instead of text." in
@@ -764,94 +750,108 @@ let expect_arg =
     & opt (some (enum [ ("clean", `Clean); ("findings", `Findings) ])) None
     & info [ "expect" ] ~docv:"OUTCOME" ~doc)
 
-let with_out file f =
-  match file with
-  | None -> f stdout
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+let usage_error msg =
+  Printf.eprintf "tpsim: %s\n%!" msg;
+  exit 2
 
-(* Shared report rendering for the analysis subcommands: text, --json,
-   or --sarif (exclusive). *)
-let render_reports ~json ~sarif ~out reports =
-  if json && sarif then begin
-    Printf.eprintf "tpsim: --json and --sarif are mutually exclusive\n%!";
-    exit 2
-  end;
-  with_out out (fun oc ->
-      if json then output_string oc (Tp_analysis.Diag.reports_to_json reports)
-      else if sarif then
-        output_string oc (Tp_analysis.Diag.reports_to_sarif reports)
-      else begin
-        let ppf = Format.formatter_of_out_channel oc in
-        List.iter
-          (fun r -> Format.fprintf ppf "%a@." Tp_analysis.Diag.pp_report r)
-          reports;
-        Format.pp_print_flush ppf ()
-      end)
+(* Output flags of the analysis subcommands, checked while the command
+   line is parsed: a bad combination exits 2 before any analysis runs
+   or any artifact is written. *)
+type output = {
+  json : bool;
+  sarif : bool;
+  out : string option;
+  expect : [ `Clean | `Findings ] option;
+}
+
+let output_term ~expect =
+  let make json sarif out expect =
+    if json && sarif then
+      usage_error "--json and --sarif are mutually exclusive";
+    { json; sarif; out; expect }
+  in
+  Term.(const make $ json_arg $ sarif_arg $ out_arg $ expect)
+
+(* One analysed subject: its report (behind SARIF, the -o summaries
+   and --expect) and the command's own JSON element and text block. *)
+type entry = {
+  report : Tp_analysis.Diag.report;
+  to_json : unit -> string;
+  pp : Format.formatter -> unit;
+}
+
+let report_entry r =
+  {
+    report = r;
+    to_json = (fun () -> Tp_analysis.Diag.report_to_json r);
+    pp = (fun ppf -> Format.fprintf ppf "%a@." Tp_analysis.Diag.pp_report r);
+  }
+
+(* The one emitter of lint, ctcheck, certify and certify --kernel:
+   render the entries as text, a JSON array or SARIF; with -o, also
+   summarise each report on stderr; then apply --expect, whose
+   clean-verdict message uses [verb] ("lints", "certifies"). *)
+let emit ~what ~verb o entries =
+  let module D = Tp_analysis.Diag in
+  let reports = List.map (fun e -> e.report) entries in
+  let write oc =
+    if o.json then
+      output_string oc
+        (Printf.sprintf "[%s]"
+           (String.concat ",\n" (List.map (fun e -> e.to_json ()) entries)))
+    else if o.sarif then output_string oc (D.reports_to_sarif reports)
+    else begin
+      let ppf = Format.formatter_of_out_channel oc in
+      List.iter (fun e -> e.pp ppf) entries;
+      Format.pp_print_flush ppf ()
+    end
+  in
+  (match o.out with
+  | None -> write stdout
+  | Some f ->
+      Out_channel.with_open_text f write;
+      List.iter
+        (fun (r : D.report) ->
+          Printf.eprintf "tpsim: %s: %s\n%!" r.subject (D.summary r))
+        reports;
+      Printf.eprintf "tpsim: wrote %s report to %s\n%!" what f);
+  match o.expect with
+  | None -> ()
+  | Some want ->
+      let wrong = List.filter (fun r -> D.clean r <> (want = `Clean)) reports in
+      List.iter
+        (fun (r : D.report) ->
+          if want = `Clean then
+            Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
+              (D.summary r)
+          else
+            Printf.eprintf "tpsim: expected findings but %s %s clean\n%!"
+              r.subject verb)
+        wrong;
+      if wrong <> [] then exit 1
 
 let cmd_lint =
   (* Static time-protection linter (plus the dynamic §4.1 audit): does
      the booted configuration actually establish the isolation it
      claims?  `--expect` turns the verdict into an exit code for CI. *)
-  let run plats kind domains json sarif out expect verbose =
+  let run plats kind o verbose =
     setup_logging verbose;
-    let reports =
-      List.map
-        (fun p ->
-          let b = Scenario.boot ~domains kind p in
-          let subject =
-            Printf.sprintf "lint %s %s" p.Tp_hw.Platform.name
-              (Scenario.name kind)
-          in
-          let r = Tp_analysis.Lint.run ~subject b in
-          (* Kernel-certifier unsoundness canary (TP-KCERT-UNSOUND):
-             the certified switch-path bound must stay inside its
-             Bounds-derived analytic envelope. *)
-          let kc =
-            Tp_analysis.Kcert.lint_crosscheck p
-              ~config_name:(slug_of_kind kind) (Scenario.config kind p)
-          in
-          {
-            r with
-            Tp_analysis.Diag.findings = r.Tp_analysis.Diag.findings @ kc;
-          })
-        plats
+    let lint p =
+      let subject =
+        Printf.sprintf "lint %s %s" p.Tp_hw.Platform.name (Scenario.name kind)
+      in
+      let r = Tp_analysis.Lint.run ~subject (Scenario.boot kind p) in
+      (* Kernel-certifier unsoundness canary (TP-KCERT-UNSOUND): the
+         certified switch-path bound must stay inside its
+         Bounds-derived analytic envelope. *)
+      let kc =
+        Tp_analysis.Kcert.lint_crosscheck p ~config_name:(Scenario.slug kind)
+          (Scenario.config kind p)
+      in
+      report_entry
+        { r with Tp_analysis.Diag.findings = r.Tp_analysis.Diag.findings @ kc }
     in
-    render_reports ~json ~sarif ~out reports;
-    (match out with
-    | Some f ->
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          reports;
-        Printf.eprintf "tpsim: wrote lint report to %s\n%!" f
-    | None -> ());
-    match expect with
-    | None -> ()
-    | Some `Clean ->
-        let dirty =
-          List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
-        in
-        if dirty <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-                (Tp_analysis.Diag.summary r))
-            dirty;
-          exit 1
-        end
-    | Some `Findings ->
-        let clean = List.filter Tp_analysis.Diag.clean reports in
-        if clean <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf
-                "tpsim: expected findings but %s lints clean\n%!" r.subject)
-            clean;
-          exit 1
-        end
+    emit ~what:"lint" ~verb:"lints" o (List.map lint plats)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -861,32 +861,27 @@ let cmd_lint =
           analytic worst-case switch bound, plus the dynamic \
           shared-data audit.")
     Term.(
-      const run $ platform_arg $ config_arg $ domains_arg $ json_arg
-      $ sarif_arg $ out_arg $ expect_arg $ verbose_arg)
+      const run $ platform_arg $ config_arg
+      $ output_term ~expect:expect_arg
+      $ verbose_arg)
 
 let cmd_ctcheck =
   (* Constant-time checker over the bundled fixtures: static taint
      verdict cross-checked against a dynamic two-secret trace diff. *)
-  let run plats json sarif out verbose =
+  let run plats o verbose =
     setup_logging verbose;
-    let failed = ref 0 in
-    let reports =
+    let module Ct = Tp_analysis.Ctcheck in
+    let verdicts =
       List.concat_map
-        (fun p ->
-          List.map
-            (fun fx ->
-              let v = Tp_analysis.Ctcheck.check_fixture p fx in
-              if not v.Tp_analysis.Ctcheck.v_pass then incr failed;
-              Tp_analysis.Ctcheck.report p v)
-            Tp_analysis.Ctcheck.fixtures)
+        (fun p -> List.map (fun fx -> (p, Ct.check_fixture p fx)) Ct.fixtures)
         plats
     in
-    render_reports ~json ~sarif ~out reports;
-    (match out with
-    | Some f -> Printf.eprintf "tpsim: wrote ctcheck report to %s\n%!" f
-    | None -> ());
-    if !failed > 0 then begin
-      Printf.eprintf "tpsim: %d constant-time verdicts failed\n%!" !failed;
+    emit ~what:"ctcheck" ~verb:"checks" o
+      (List.map (fun (p, v) -> report_entry (Ct.report p v)) verdicts);
+    let failed = List.filter (fun (_, v) -> not v.Ct.v_pass) verdicts in
+    if failed <> [] then begin
+      Printf.eprintf "tpsim: %d constant-time verdicts failed\n%!"
+        (List.length failed);
       exit 1
     end
   in
@@ -897,18 +892,20 @@ let cmd_ctcheck =
           fixtures (incl. the Sec. 5.3.3 square-and-multiply victim), \
           cross-checked by executing each fixture under two secrets and \
           diffing the address/branch traces.")
-    Term.(const run $ platform_arg $ json_arg $ sarif_arg $ out_arg $ verbose_arg)
+    Term.(
+      const run $ platform_arg
+      $ output_term ~expect:(const None)
+      $ verbose_arg)
 
 let certify_configs_arg =
   let doc =
-    "Configuration(s) to certify (repeatable): $(b,raw), $(b,full-flush), \
-     $(b,protected), $(b,coloured-only), $(b,no-pad), $(b,no-prefetcher) \
-     or $(b,cat-llc).  Default: raw, full-flush, coloured-only, no-pad \
-     and protected."
+    "Configuration(s) to certify (repeatable): "
+    ^ Arg.doc_alts_enum config_alts
+    ^ ".  Default: raw, full-flush, coloured-only, no-pad and protected."
   in
   Arg.(
     value
-    & opt_all (enum scenario_choices) []
+    & opt_all (enum config_alts) []
     & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
 
 let exhaustive_arg =
@@ -916,7 +913,8 @@ let exhaustive_arg =
     "Also run the small-scope model check: enumerate every two-domain \
      schedule on the shrunken machine and require all attacker \
      observations to be identical across victim secrets; prints the \
-     concrete distinguishing schedule when one exists."
+     concrete distinguishing schedule when one exists.  Not with \
+     $(b,--kernel), which always runs its 3-domain check."
   in
   Arg.(value & flag & info [ "exhaustive" ] ~doc)
 
@@ -924,7 +922,7 @@ let fixtures_arg =
   let doc =
     "Additionally certify each bundled ctcheck guest program: the \
      channel capacities are tightened to the program's abstract \
-     footprint."
+     footprint.  Not with $(b,--kernel)."
   in
   Arg.(value & flag & info [ "fixtures" ] ~doc)
 
@@ -970,30 +968,68 @@ let check_arg =
   let doc = "Byte-compare against the goldens in $(b,--certs) (no writes)." in
   Arg.(value & flag & info [ "check" ] ~doc)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
+(* Byte-compare [certs] against the goldens in [dir]; with the full
+   matrix requested, stale leftovers (e.g. artifacts under a retired
+   naming scheme, which would silently bypass the gate) fail too. *)
+let check_certs ~full_matrix dir certs =
+  let module K = Tp_analysis.Kcert in
+  let bad = ref 0 in
+  List.iter
+    (fun c ->
+      let path = Filename.concat dir (K.artifact_name c) in
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error _ ->
+          incr bad;
+          Printf.eprintf "tpsim: missing golden certificate %s\n%!" path
+      | got when not (String.equal got (K.to_json c)) ->
+          incr bad;
+          Printf.eprintf
+            "tpsim: golden certificate drift: %s (regenerated digest %s)\n%!"
+            path (K.digest c)
+      | _ -> ())
+    certs;
+  if full_matrix then begin
+    let expected = List.map K.artifact_name certs in
+    Array.iter
+      (fun f ->
+        if Filename.check_suffix f ".cert.json" && not (List.mem f expected)
+        then begin
+          incr bad;
+          Printf.eprintf
+            "tpsim: stale certificate artifact %s (not part of the current \
+             golden matrix)\n\
+             %!"
+            (Filename.concat dir f)
+        end)
+      (try Sys.readdir dir with Sys_error _ -> [||])
+  end;
+  if !bad > 0 then begin
+    Printf.eprintf
+      "tpsim: %d golden certificate(s) out of date; regenerate with `tpsim \
+       certify --kernel -p all --certs %s`\n\
+       %!"
+      !bad dir;
+    exit 1
+  end;
+  Printf.eprintf "tpsim: %d golden certificates verified byte-identical\n%!"
+    (List.length certs)
 
 (* `certify --kernel`: per-(platform, config, path) lifecycle
    certificates, each cross-validated by the 3-domain exhaustive check
    (with the neighbour performing that path's operation), emitted as
    deterministic content-digested artifacts and optionally byte-diffed
    against the checked-in goldens. *)
-let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
-    ~check =
+let certify_kernel plats kinds paths o ~certs_dir ~check =
+  let module K = Tp_analysis.Kcert in
   let full_matrix =
     (* The complete golden matrix was requested: -p all, every config,
        every path.  Only then can --check also flag stale leftovers. *)
     kinds = [] && paths = []
     && List.length plats = List.length Tp_hw.Platform.all
   in
-  let kinds =
-    match kinds with [] -> List.map snd scenario_choices | ks -> ks
-  in
-  let paths = match paths with [] -> Tp_analysis.Kcert.all_paths | ps -> ps in
-  let entries =
+  let kinds = if kinds = [] then Scenario.all else kinds in
+  let paths = if paths = [] then K.all_paths else paths in
+  let certs =
     List.concat_map
       (fun p ->
         List.concat_map
@@ -1002,311 +1038,146 @@ let certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
             List.map
               (fun path ->
                 let ex = Tp_analysis.Certify.exhaustive3_path path p cfg in
-                let cert =
-                  Tp_analysis.Kcert.certify ~exhaustive:ex ~path p
-                    ~config_name:(slug_of_kind kind) cfg
-                in
-                (cert, Tp_analysis.Kcert.report cert))
+                K.certify ~exhaustive:ex ~path p
+                  ~config_name:(Scenario.slug kind) cfg)
               paths)
           kinds)
       plats
   in
-  let reports = List.map snd entries in
-  (match (certs_dir, check) with
-  | None, true ->
-      Printf.eprintf "tpsim: --check needs --certs DIR\n%!";
-      exit 2
-  | None, false -> ()
-  | Some dir, true ->
-      let bad = ref 0 in
-      List.iter
-        (fun (c, _) ->
-          let path =
-            Filename.concat dir (Tp_analysis.Kcert.artifact_name c)
-          in
-          let want = Tp_analysis.Kcert.to_json c in
-          match
-            try
-              Some (In_channel.with_open_bin path In_channel.input_all)
-            with Sys_error _ -> None
-          with
-          | None ->
-              incr bad;
-              Printf.eprintf "tpsim: missing golden certificate %s\n%!" path
-          | Some got when not (String.equal got want) ->
-              incr bad;
-              Printf.eprintf
-                "tpsim: golden certificate drift: %s (regenerated digest \
-                 %s)\n\
-                 %!"
-                path
-                (Tp_analysis.Kcert.digest c)
-          | Some _ -> ())
-        entries;
-      (if full_matrix then
-         (* Stale leftovers (e.g. artifacts under a retired naming
-            scheme) would silently bypass the byte-diff gate. *)
-         let expected =
-           List.map
-             (fun (c, _) -> Tp_analysis.Kcert.artifact_name c)
-             entries
-         in
-         Array.iter
-           (fun f ->
-             if
-               Filename.check_suffix f ".cert.json"
-               && not (List.mem f expected)
-             then begin
-               incr bad;
-               Printf.eprintf
-                 "tpsim: stale certificate artifact %s (not part of the \
-                  current golden matrix)\n\
-                  %!"
-                 (Filename.concat dir f)
-             end)
-           (try Sys.readdir dir with Sys_error _ -> [||]));
-      if !bad > 0 then begin
-        Printf.eprintf
-          "tpsim: %d golden certificate(s) out of date; regenerate with \
-           `tpsim certify --kernel -p all --certs %s`\n\
-           %!"
-          !bad dir;
-        exit 1
-      end
-      else
-        Printf.eprintf
-          "tpsim: %d golden certificates verified byte-identical\n%!"
-          (List.length entries)
-  | Some dir, false ->
-      mkdir_p dir;
-      List.iter
-        (fun (c, _) ->
-          let path =
-            Filename.concat dir (Tp_analysis.Kcert.artifact_name c)
-          in
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc (Tp_analysis.Kcert.to_json c)))
-        entries;
-      Printf.eprintf "tpsim: wrote %d certificates to %s\n%!"
-        (List.length entries) dir);
-  if json && sarif then begin
-    Printf.eprintf "tpsim: --json and --sarif are mutually exclusive\n%!";
-    exit 2
-  end;
-  with_out out (fun oc ->
-      if json then
-        output_string oc
-          (Printf.sprintf "[%s]"
-             (String.concat ",\n"
-                (List.map
-                   (fun (c, r) ->
-                     Printf.sprintf "{\"cert\":%s,\"report\":%s}"
-                       (Tp_analysis.Kcert.to_json c)
-                       (Tp_analysis.Diag.report_to_json r))
-                   entries)))
-      else if sarif then
-        output_string oc (Tp_analysis.Diag.reports_to_sarif reports)
-      else begin
-        let ppf = Format.formatter_of_out_channel oc in
-        List.iter
-          (fun (c, _) ->
-            Format.fprintf ppf "%a" Tp_analysis.Kcert.pp c;
-            Format.fprintf ppf "  digest: %s@.@."
-              (Tp_analysis.Kcert.digest c))
-          entries;
-        Format.pp_print_flush ppf ()
-      end);
-  (match out with
-  | Some f ->
-      List.iter
-        (fun (r : Tp_analysis.Diag.report) ->
-          Printf.eprintf "tpsim: %s: %s\n%!" r.subject
-            (Tp_analysis.Diag.summary r))
-        reports;
-      Printf.eprintf "tpsim: wrote kernel certification report to %s\n%!" f
-  | None -> ());
-  match expect with
+  (match certs_dir with
   | None -> ()
-  | Some `Clean ->
-      let dirty =
-        List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
+  | Some dir when check -> check_certs ~full_matrix dir certs
+  | Some dir ->
+      Tp_store.Store.mkdir_p dir;
+      List.iter
+        (fun c ->
+          Out_channel.with_open_bin
+            (Filename.concat dir (K.artifact_name c))
+            (fun oc -> Out_channel.output_string oc (K.to_json c)))
+        certs;
+      Printf.eprintf "tpsim: wrote %d certificates to %s\n%!"
+        (List.length certs) dir);
+  emit ~what:"kernel certification" ~verb:"certifies" o
+    (List.map
+       (fun c ->
+         let r = K.report c in
+         {
+           report = r;
+           to_json =
+             (fun () ->
+               Printf.sprintf "{\"cert\":%s,\"report\":%s}" (K.to_json c)
+                 (Tp_analysis.Diag.report_to_json r));
+           pp =
+             (fun ppf ->
+               Format.fprintf ppf "%a  digest: %s@.@." K.pp c (K.digest c));
+         })
+       certs)
+
+(* Plain `certify`: the lint view's per-channel bound for each
+   configuration, optionally cross-validated by the two-domain
+   exhaustive check and tightened per bundled guest program. *)
+let certify_guests plats kinds o ~exhaustive ~fixtures =
+  let module C = Tp_analysis.Certify in
+  let entry ?ex c r =
+    {
+      report = r;
+      to_json =
+        (fun () ->
+          Printf.sprintf "{\"cert\":%s,\"report\":%s,\"exhaustive\":%s}"
+            (C.cert_to_json c)
+            (Tp_analysis.Diag.report_to_json r)
+            (match ex with None -> "null" | Some x -> C.exhaustive_to_json x));
+      pp =
+        (fun ppf ->
+          Format.fprintf ppf "%a" C.pp c;
+          (match ex with
+          | None -> ()
+          | Some (x : C.exhaustive_result) -> (
+              match x.ex_counterexample with
+              | None ->
+                  Format.fprintf ppf
+                    "  exhaustive: PASS (%d schedules x %d secrets, horizon \
+                     %d, on %s)@."
+                    x.ex_schedules
+                    (List.length x.ex_secrets)
+                    x.ex_horizon x.ex_platform
+              | Some cx ->
+                  Format.fprintf ppf
+                    "  exhaustive: FAIL -- schedule %s distinguishes secrets \
+                     %d/%d at attacker turn %d, observation %d (%d vs %d \
+                     cycles%s)@."
+                    cx.cx_schedule cx.cx_secret_a cx.cx_secret_b cx.cx_turn
+                    cx.cx_index cx.cx_obs_a cx.cx_obs_b
+                    (if cx.cx_index = 0 then "; index 0 = turn timestamp"
+                     else "")));
+          Format.fprintf ppf "@.");
+    }
+  in
+  let kinds =
+    if kinds = [] then
+      Scenario.[ Raw; Full_flush; Coloured_only; Protected_no_pad; Protected ]
+    else kinds
+  in
+  let certify p kind =
+    let v = Tp_analysis.Lint.view_of_booted (Scenario.boot kind p) in
+    let subject =
+      Printf.sprintf "certify %s %s" p.Tp_hw.Platform.name (Scenario.name kind)
+    in
+    let cert = C.certify_view ~subject v in
+    let base = C.report cert in
+    let main =
+      if not exhaustive then entry cert base
+      else
+        let ex = C.exhaustive p (Scenario.config kind p) in
+        entry ~ex cert
+          {
+            base with
+            Tp_analysis.Diag.findings =
+              base.Tp_analysis.Diag.findings @ C.exhaustive_findings ex
+              @ C.crosscheck cert ex;
+          }
+    in
+    let fixture fx =
+      let c =
+        C.certify_fixture
+          ~subject:
+            (Printf.sprintf "%s %s" subject
+               fx.Tp_analysis.Ctcheck.fx_program.Tp_analysis.Ct_ir.p_name)
+          v fx
       in
-      if dirty <> [] then begin
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          dirty;
-        exit 1
-      end
-  | Some `Findings ->
-      let clean = List.filter Tp_analysis.Diag.clean reports in
-      if clean <> [] then begin
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf
-              "tpsim: expected findings but %s certifies clean\n%!" r.subject)
-          clean;
-        exit 1
-      end
+      entry c (C.report c)
+    in
+    main
+    :: (if fixtures then List.map fixture Tp_analysis.Ctcheck.fixtures else [])
+  in
+  emit ~what:"certification" ~verb:"certifies" o
+    (List.concat_map (fun p -> List.concat_map (certify p) kinds) plats)
 
 let cmd_certify =
   (* Abstract-interpretation leakage certifier: sound per-channel
      upper bounds from the lint view (optionally tightened per guest
      program), cross-validated by exhaustive small-scope model
      checking. *)
-  let run plats kinds paths domains json sarif out expect exhaustive fixtures
-      kernel certs_dir check verbose =
+  let run plats kinds paths o exhaustive fixtures kernel certs_dir check
+      verbose =
+    (* Flags of the other mode are rejected, not ignored, before any
+       certificate is computed or written. *)
+    let misuse =
+      if kernel then " does not apply to --kernel" else " needs --kernel"
+    in
+    List.iter
+      (fun (flag, set) -> if set then usage_error (flag ^ misuse))
+      (if kernel then [ ("--exhaustive", exhaustive); ("--fixtures", fixtures) ]
+       else
+         [
+           ("--path", paths <> []);
+           ("--certs", certs_dir <> None);
+           ("--check", check);
+         ]);
+    if check && certs_dir = None then usage_error "--check needs --certs DIR";
     setup_logging verbose;
-    if kernel then
-      certify_kernel plats kinds paths ~json ~sarif ~out ~expect ~certs_dir
-        ~check
-    else begin
-    let kinds =
-      match kinds with
-      | [] ->
-          Scenario.
-            [ Raw; Full_flush; Coloured_only; Protected_no_pad; Protected ]
-      | ks -> ks
-    in
-    let entries =
-      List.concat_map
-        (fun p ->
-          List.concat_map
-            (fun kind ->
-              let b = Scenario.boot ~domains kind p in
-              let v = Tp_analysis.Lint.view_of_booted b in
-              let subject =
-                Printf.sprintf "certify %s %s" p.Tp_hw.Platform.name
-                  (Scenario.name kind)
-              in
-              let cert = Tp_analysis.Certify.certify_view ~subject v in
-              let ex =
-                if exhaustive then
-                  Some (Tp_analysis.Certify.exhaustive p (Scenario.config kind p))
-                else None
-              in
-              let report =
-                let base = Tp_analysis.Certify.report cert in
-                match ex with
-                | None -> base
-                | Some r ->
-                    {
-                      base with
-                      Tp_analysis.Diag.findings =
-                        base.Tp_analysis.Diag.findings
-                        @ Tp_analysis.Certify.exhaustive_findings r
-                        @ Tp_analysis.Certify.crosscheck cert r;
-                    }
-              in
-              let fixture_entries =
-                if not fixtures then []
-                else
-                  List.map
-                    (fun fx ->
-                      let c =
-                        Tp_analysis.Certify.certify_fixture
-                          ~subject:
-                            (Printf.sprintf "%s %s" subject
-                               fx.Tp_analysis.Ctcheck.fx_program
-                                 .Tp_analysis.Ct_ir.p_name)
-                          v fx
-                      in
-                      (c, None, Tp_analysis.Certify.report c))
-                    Tp_analysis.Ctcheck.fixtures
-              in
-              ((cert, ex, report) :: fixture_entries))
-            kinds)
-        plats
-    in
-    let reports = List.map (fun (_, _, r) -> r) entries in
-    let exhaustive_json = function
-      | None -> "null"
-      | Some r -> Tp_analysis.Certify.exhaustive_to_json r
-    in
-    if json && sarif then begin
-      Printf.eprintf "tpsim: --json and --sarif are mutually exclusive\n%!";
-      exit 2
-    end;
-    with_out out (fun oc ->
-        if json then
-          output_string oc
-            (Printf.sprintf "[%s]"
-               (String.concat ",\n"
-                  (List.map
-                     (fun (c, ex, r) ->
-                       Printf.sprintf
-                         "{\"cert\":%s,\"report\":%s,\"exhaustive\":%s}"
-                         (Tp_analysis.Certify.cert_to_json c)
-                         (Tp_analysis.Diag.report_to_json r)
-                         (exhaustive_json ex))
-                     entries)))
-        else if sarif then
-          output_string oc (Tp_analysis.Diag.reports_to_sarif reports)
-        else begin
-          let ppf = Format.formatter_of_out_channel oc in
-          List.iter
-            (fun (c, ex, _) ->
-              Format.fprintf ppf "%a" Tp_analysis.Certify.pp c;
-              (match ex with
-              | None -> ()
-              | Some (r : Tp_analysis.Certify.exhaustive_result) -> (
-                  match r.ex_counterexample with
-                  | None ->
-                      Format.fprintf ppf
-                        "  exhaustive: PASS (%d schedules x %d secrets, \
-                         horizon %d, on %s)@."
-                        r.ex_schedules
-                        (List.length r.ex_secrets)
-                        r.ex_horizon r.ex_platform
-                  | Some cx ->
-                      Format.fprintf ppf
-                        "  exhaustive: FAIL -- schedule %s distinguishes \
-                         secrets %d/%d at attacker turn %d, observation %d \
-                         (%d vs %d cycles%s)@."
-                        cx.cx_schedule cx.cx_secret_a cx.cx_secret_b
-                        cx.cx_turn cx.cx_index cx.cx_obs_a cx.cx_obs_b
-                        (if cx.cx_index = 0 then "; index 0 = turn timestamp"
-                         else "")));
-              Format.fprintf ppf "@.")
-            entries;
-          Format.pp_print_flush ppf ()
-        end);
-    (match out with
-    | Some f ->
-        List.iter
-          (fun (r : Tp_analysis.Diag.report) ->
-            Printf.eprintf "tpsim: %s: %s\n%!" r.subject
-              (Tp_analysis.Diag.summary r))
-          reports;
-        Printf.eprintf "tpsim: wrote certification report to %s\n%!" f
-    | None -> ());
-    match expect with
-    | None -> ()
-    | Some `Clean ->
-        let dirty =
-          List.filter (fun r -> not (Tp_analysis.Diag.clean r)) reports
-        in
-        if dirty <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf "tpsim: expected clean but %s: %s\n%!" r.subject
-                (Tp_analysis.Diag.summary r))
-            dirty;
-          exit 1
-        end
-    | Some `Findings ->
-        let clean = List.filter Tp_analysis.Diag.clean reports in
-        if clean <> [] then begin
-          List.iter
-            (fun (r : Tp_analysis.Diag.report) ->
-              Printf.eprintf
-                "tpsim: expected findings but %s certifies clean\n%!"
-                r.subject)
-            clean;
-          exit 1
-        end
-    end
+    if kernel then certify_kernel plats kinds paths o ~certs_dir ~check
+    else certify_guests plats kinds o ~exhaustive ~fixtures
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1321,9 +1192,10 @@ let cmd_certify =
           instead, with 3-domain cross-validation and content-digested \
           golden artifacts ($(b,--certs)/$(b,--check)).")
     Term.(
-      const run $ platform_arg $ certify_configs_arg $ paths_arg $ domains_arg
-      $ json_arg $ sarif_arg $ out_arg $ expect_arg $ exhaustive_arg
-      $ fixtures_arg $ kernel_arg $ certs_arg $ check_arg $ verbose_arg)
+      const run $ platform_arg $ certify_configs_arg $ paths_arg
+      $ output_term ~expect:expect_arg
+      $ exhaustive_arg $ fixtures_arg $ kernel_arg $ certs_arg $ check_arg
+      $ verbose_arg)
 
 let no_replay_arg =
   let doc =
@@ -1346,21 +1218,17 @@ let cmd_bench =
   let baseline =
     let doc =
       "Compare accesses/s per experiment against the JSON emitted by an \
-       earlier run and fail on a drop beyond $(b,--max-regress)."
+       earlier run and fail on a drop of more than 25%."
     in
     Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
   in
-  let max_regress =
-    let doc = "Allowed relative throughput drop vs the baseline, percent." in
-    Arg.(value & opt float 25.0 & info [ "max-regress" ] ~docv:"PCT" ~doc)
-  in
-  let run plats q seed jobs verbose json baseline max_regress =
+  let run plats q seed jobs verbose json baseline =
     setup_logging verbose;
     Result.get_ok (setup_jobs jobs None);
     exit
       (Bench.run q ~seed
          ~jobs:(Tp_par.Pool.default_jobs ())
-         ~platforms:plats ~json_out:json ~baseline ~max_regress ())
+         ~platforms:plats ~json_out:json ~baseline ())
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1371,7 +1239,7 @@ let cmd_bench =
           baseline regression gate.")
     Term.(
       const run $ platform_arg $ quality_arg $ seed_arg $ jobs_arg
-      $ verbose_arg $ bench_json $ baseline $ max_regress)
+      $ verbose_arg $ bench_json $ baseline)
 
 let socket_arg =
   let doc = "Unix-domain socket path of the campaign daemon." in
@@ -1434,15 +1302,15 @@ let cmd_sweep =
   let platforms_arg =
     strings_arg [ "p"; "platform" ] ~default:[ "haswell" ] ~docv:"PLATFORM"
       ~doc:
-        "Platform slug (repeatable): $(b,haswell), $(b,sabre) or \
-         $(b,armv8)."
+        ("Platform slug (repeatable): "
+        ^ Arg.doc_alts
+            (List.map (fun p -> p.Tp_hw.Platform.name) Tp_hw.Platform.all)
+        ^ ".")
   in
   let configs_arg =
     strings_arg [ "c"; "config" ] ~default:[ "protected" ] ~docv:"CONFIG"
       ~doc:
-        "Scenario slug (repeatable): $(b,raw), $(b,full-flush), \
-         $(b,protected), $(b,coloured-only), $(b,no-pad), \
-         $(b,no-prefetcher) or $(b,cat-llc)."
+        ("Scenario slug (repeatable): " ^ Arg.doc_alts_enum config_alts ^ ".")
   in
   let channels_arg =
     strings_arg [ "channel" ] ~default:[ "l1d" ] ~docv:"CHANNEL"
@@ -1595,6 +1463,26 @@ let cmd_sweep =
       $ trial_timeout_arg $ wall_budget_arg $ retries_arg $ json_arg
       $ no_replay_arg)
 
+(* Pass/fail bookkeeping of the smoke gates: [check] prints one ok/FAIL
+   line; [verdict] prints the summary and exits 1 if any check failed. *)
+let smoke_checks gate =
+  let fails = ref 0 in
+  let check name cond detail =
+    if cond then Printf.printf "  ok   %s\n%!" name
+    else begin
+      incr fails;
+      Printf.printf "  FAIL %s: %s\n%!" name detail
+    end
+  in
+  let verdict () =
+    if !fails > 0 then begin
+      Printf.printf "%s: %d checks FAILED\n%!" gate !fails;
+      exit 1
+    end
+    else Printf.printf "%s: PASS\n%!" gate
+  in
+  (check, verdict)
+
 let cmd_serve_smoke =
   (* End-to-end crash-resume gate, self-contained so CI can run it as
      one command: reference run in-process, then daemon runs that are
@@ -1606,14 +1494,7 @@ let cmd_serve_smoke =
     let socket = Filename.concat dir "sock" in
     let store = Filename.concat dir "store" in
     let exe = Sys.executable_name in
-    let fails = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n%!" name
-      else begin
-        incr fails;
-        Printf.printf "  FAIL %s: %s\n%!" name detail
-      end
-    in
+    let check, verdict = smoke_checks "serve-smoke" in
     let spawn () =
       Unix.create_process exe
         [| exe; "serve"; "--socket"; socket; "--store"; store; "-j"; "1" |]
@@ -1699,11 +1580,7 @@ let cmd_serve_smoke =
     | Error e -> check "daemon shutdown" false e);
     ignore (Unix.waitpid [] pid2);
     (try rm_rf dir with Unix.Unix_error _ -> ());
-    if !fails > 0 then begin
-      Printf.printf "serve-smoke: %d checks FAILED\n%!" !fails;
-      exit 1
-    end
-    else Printf.printf "serve-smoke: PASS\n%!"
+    verdict ()
   in
   Cmd.v
     (Cmd.info "serve-smoke"
@@ -1722,18 +1599,11 @@ let cmd_replay_smoke =
      gate behind the sweep hot path's correctness claim. *)
   let run plats verbose =
     setup_logging verbose;
-    let fails = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n%!" name
-      else begin
-        incr fails;
-        Printf.printf "  FAIL %s: %s\n%!" name detail
-      end
-    in
+    let check, verdict = smoke_checks "replay-smoke" in
     run_over plats (fun p ->
         Printf.printf "replay-smoke: %s\n%!" p.Tp_hw.Platform.name;
         List.iter
-          (fun (cfg, slug) ->
+          (fun cfg ->
             List.iter
               (fun (chan : Tp_attacks.Cache_channels.t) ->
                 let collect replay =
@@ -1759,20 +1629,18 @@ let cmd_replay_smoke =
                 in
                 let d_rep, m_rep = collect true in
                 let d_live, m_live = collect false in
-                let name = Printf.sprintf "%s/%s" slug
-                    chan.Tp_attacks.Cache_channels.name in
+                let name =
+                  Printf.sprintf "%s/%s" (Scenario.slug cfg)
+                    chan.Tp_attacks.Cache_channels.name
+                in
                 check (name ^ ": dataset bit-identical")
                   (d_rep = d_live) "replayed dataset differs from live";
                 check (name ^ ": machine state bit-identical")
                   (m_rep = m_live) (m_rep ^ " <> " ^ m_live))
               [ Tp_attacks.Cache_channels.l1d;
                 Tp_attacks.Cache_channels.tlb ])
-          [ (Scenario.Raw, "raw"); (Scenario.Protected, "protected") ]);
-    if !fails > 0 then begin
-      Printf.printf "replay-smoke: %d checks FAILED\n%!" !fails;
-      exit 1
-    end
-    else Printf.printf "replay-smoke: PASS\n%!"
+          [ Scenario.Raw; Scenario.Protected ]);
+    verdict ()
   in
   Cmd.v
     (Cmd.info "replay-smoke"
@@ -1847,14 +1715,7 @@ let cmd_top_smoke =
     let store = Filename.concat dir "store" in
     let elog = Filename.concat dir "events.jsonl" in
     let exe = Sys.executable_name in
-    let fails = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n%!" name
-      else begin
-        incr fails;
-        Printf.printf "  FAIL %s: %s\n%!" name detail
-      end
-    in
+    let check, verdict = smoke_checks "top-smoke" in
     let contains hay needle =
       let nh = String.length hay and nn = String.length needle in
       let rec go i =
@@ -1972,11 +1833,7 @@ let cmd_top_smoke =
               ~finally:(fun () -> close_in_noerr ic)
               (fun () -> save "events.jsonl" (In_channel.input_all ic))));
     (try rm_rf dir with Unix.Unix_error _ -> ());
-    if !fails > 0 then begin
-      Printf.printf "top-smoke: %d checks FAILED\n%!" !fails;
-      exit 1
-    end
-    else Printf.printf "top-smoke: PASS\n%!"
+    verdict ()
   in
   Cmd.v
     (Cmd.info "top-smoke"
@@ -2002,30 +1859,17 @@ let cmds =
     cmd_lint;
     cmd_ctcheck;
     cmd_certify;
-    mk_cmd "table2" "Worst-case cache flush costs (Table 2)." table2;
-    mk_cmd "fig3" "Kernel-image covert channel matrix (Figure 3)." fig3;
-    mk_cmd "table3" "Intra-core timing channels (Table 3)." table3;
-    mk_cmd "fig4" "Cross-core LLC side channel vs ElGamal (Figure 4)." fig4;
-    mk_cmd "table4" "Cache-flush latency channel incl. Figure 5 (Table 4)."
-      table4;
-    mk_cmd "fig6" "Timer-interrupt channel (Figure 6)." fig6;
-    mk_cmd "table5" "IPC microbenchmark (Table 5)." table5;
-    mk_cmd "table6" "Domain-switch cost (Table 6)." table6;
-    mk_cmd "table7" "Kernel clone/destroy cost (Table 7)." table7;
-    mk_cmd "fig7" "Splash-2 colouring slowdowns (Figure 7)." fig7;
-    mk_cmd "table8" "Time-shared Splash-2 overhead (Table 8)." table8;
-    mk_cmd "bus" "Interconnect covert channel demo (beyond paper)." bus;
-    mk_cmd "dram" "DRAM row-buffer channel demo (beyond paper)." dram;
-    mk_cmd "cosched" "Gang-scheduling mitigation demo (Sec. 3.1.1)." cosched;
-    mk_cmd "cat" "Intel CAT way-partitioning demo (Sec. 2.3)." cat;
-    mk_cmd "mls" "Bell-LaPadula padding policy demo (Sec. 4.3)." mls;
-    mk_cmd "calibrate" "Empirical worst-case pad calibration (Sec. 4.3)."
-      calibrate;
-    mk_cmd "stats"
-      "Performance counters and pad-slack profile of a switching workload."
-      stats;
-    mk_cmd "all" "Run the complete evaluation." all;
   ]
+  @ List.map
+      (fun (name, doc, f) -> mk_cmd name doc f)
+      (experiments
+      @ [
+          ( "stats",
+            "Performance counters and pad-slack profile of a switching \
+             workload.",
+            stats );
+          ("all", "Run the complete evaluation.", all);
+        ])
 
 let () =
   let info =

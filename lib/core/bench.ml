@@ -313,7 +313,10 @@ type regression = {
   g_drop_pct : float;
 }
 
-let check_baseline ~max_regress ~baseline results =
+(* Allowed accesses/s drop against the baseline, percent. *)
+let max_regress = 25.0
+
+let check_baseline ~baseline results =
   let base_exps =
     match Json.member "experiments" baseline with
     | Some (Json.Arr l) -> l
@@ -356,7 +359,7 @@ let check_baseline ~max_regress ~baseline results =
 
 let quality_name = function Quality.Quick -> "quick" | Quality.Full -> "full"
 
-let run q ~seed ~jobs ~platforms ~json_out ~baseline ~max_regress () =
+let run q ~seed ~jobs ~platforms ~json_out ~baseline () =
   (* Throughput counts simulator work units, so the counters must be
      live; toggled here, outside any parallel region (Tp_obs.Ctl). *)
   let counters_were_on = Tp_obs.Ctl.counters_on () in
@@ -428,7 +431,7 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline ~max_regress () =
             ~finally:(fun () -> close_in_noerr ic)
             (fun () -> Json.parse (In_channel.input_all ic))
         with
-        | j -> check_baseline ~max_regress ~baseline:j results
+        | j -> check_baseline ~baseline:j results
         | exception (Sys_error msg | Json.Bad msg) ->
             Printf.eprintf "tpsim bench: cannot read baseline %s: %s\n%!" f msg;
             [])

@@ -9,8 +9,8 @@
     speedup can never come from diverging computation.
 
     With [baseline] set, accesses/s is compared per experiment against
-    the JSON emitted by an earlier run; a relative drop beyond
-    [max_regress] percent is a failure.  Keep checked-in baselines
+    the JSON emitted by an earlier run; a relative drop of more than
+    25% is a failure.  Keep checked-in baselines
     generous — the gate exists to catch hot-path collapses, not host
     noise (see bench/baseline.json). *)
 
@@ -21,7 +21,6 @@ val run :
   platforms:Tp_hw.Platform.t list ->
   json_out:string option ->
   baseline:string option ->
-  max_regress:float ->
   unit ->
   int
 (** Returns the intended exit code: 0, or 1 on a determinism mismatch

@@ -16,6 +16,26 @@ let name = function
   | Protected_no_prefetcher -> "protected (prefetcher off)"
   | Cat_llc -> "CAT way-partitioned LLC"
 
+let slug = function
+  | Raw -> "raw"
+  | Full_flush -> "full-flush"
+  | Protected -> "protected"
+  | Coloured_only -> "coloured-only"
+  | Protected_no_pad -> "no-pad"
+  | Protected_no_prefetcher -> "no-prefetcher"
+  | Cat_llc -> "cat-llc"
+
+let all =
+  [
+    Raw;
+    Full_flush;
+    Protected;
+    Coloured_only;
+    Protected_no_pad;
+    Protected_no_prefetcher;
+    Cat_llc;
+  ]
+
 let config kind p =
   let open Tp_kernel in
   match kind with

@@ -24,6 +24,16 @@ type kind =
           isolates the CAT mechanism's effect on the LLC channels *)
 
 val name : kind -> string
+(** Human-readable name, used in report subjects and table headers. *)
+
+val slug : kind -> string
+(** Stable CLI spelling ([raw], [full-flush], [protected],
+    [coloured-only], [no-pad], [no-prefetcher], [cat-llc]).  Store keys,
+    the campaign engine's cell RNG and the kernel-certificate artifact
+    names are derived from it, so it must never change. *)
+
+val all : kind list
+(** Every kind, in the order above. *)
 
 val config : kind -> Tp_hw.Platform.t -> Tp_kernel.Config.t
 

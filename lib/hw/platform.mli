@@ -60,10 +60,8 @@ val armv8 : t
     (§5.4.1).  Its 4-way L2 TLB exists to test the paper's prediction
     that the colour-ready IPC overhead shrinks on v8. *)
 
-val by_name : string -> t option
-(** Look up ["haswell"], ["sabre"] or ["armv8"] (case-insensitive). *)
-
 val all : t list
+(** [haswell; sabre; armv8]; each [name] is the platform's CLI slug. *)
 
 val colours : t -> int
 (** Number of page colours available for partitioning: determined by

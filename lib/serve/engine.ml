@@ -83,26 +83,23 @@ let drifting (t : Protocol.trial) =
   && t.Protocol.t_verdict = "leak"
   && t.Protocol.t_mi_bits > float_of_int bound
 
-let platform_slugs =
+(* Channel slug -> what a cell needs from it: the (sender, receiver)
+   pair prepared on the cell's booted system, and the symbol count. *)
+let channels =
+  let module Cc = Tp_attacks.Cache_channels in
+  let cc ch _ b = (ch.Cc.prepare b, ch.Cc.symbols) in
   [
-    ("haswell", Tp_hw.Platform.haswell);
-    ("sabre", Tp_hw.Platform.sabre);
-    ("armv8", Tp_hw.Platform.armv8);
+    ("l1d", cc Cc.l1d);
+    ("l1i", cc Cc.l1i);
+    ("tlb", cc Cc.tlb);
+    ("btb", fun p b -> cc (Cc.btb p) p b);
+    ("bhb", cc Cc.bhb);
+    ("l2", cc Cc.l2);
+    ( "kernel",
+      fun _ b -> Tp_attacks.Kernel_chan.(prepare b, symbols) );
+    ( "flush",
+      fun _ b -> Tp_attacks.Flush_chan.(prepare Offline b, symbols) );
   ]
-
-let config_slugs =
-  [
-    ("raw", Scenario.Raw);
-    ("full-flush", Scenario.Full_flush);
-    ("protected", Scenario.Protected);
-    ("coloured-only", Scenario.Coloured_only);
-    ("no-pad", Scenario.Protected_no_pad);
-    ("no-prefetcher", Scenario.Protected_no_prefetcher);
-    ("cat-llc", Scenario.Cat_llc);
-  ]
-
-let channel_slugs =
-  [ "l1d"; "l1i"; "tlb"; "btb"; "bhb"; "l2"; "kernel"; "flush" ]
 
 let code_rev =
   (* Hashing the executable once per process: any rebuild invalidates
@@ -115,13 +112,13 @@ let code_rev =
   in
   fun () -> Lazy.force rev
 
-let lookup what table s =
-  match List.assoc_opt s table with
+let lookup what slug table s =
+  match List.find_opt (fun v -> slug v = s) table with
   | Some v -> Ok v
   | None ->
       Error
         (Printf.sprintf "unknown %s %S (expected one of: %s)" what s
-           (String.concat ", " (List.map fst table)))
+           (String.concat ", " (List.map slug table)))
 
 let ( let* ) = Result.bind
 
@@ -141,40 +138,25 @@ let cells_of_job (j : Protocol.job) =
   in
   let* plats =
     all_ok
-      (fun s ->
-        let* p = lookup "platform" platform_slugs s in
-        Ok (s, p))
+      (lookup "platform" (fun p -> p.Tp_hw.Platform.name) Tp_hw.Platform.all)
       j.Protocol.j_platforms
   in
   let* kinds =
-    all_ok
-      (fun s ->
-        let* k = lookup "config" config_slugs s in
-        Ok (s, k))
-      j.Protocol.j_configs
+    all_ok (lookup "config" Scenario.slug Scenario.all) j.Protocol.j_configs
   in
-  let* chans =
-    all_ok
-      (fun s ->
-        if List.mem s channel_slugs then Ok s
-        else
-          Error
-            (Printf.sprintf "unknown channel %S (expected one of: %s)" s
-               (String.concat ", " channel_slugs)))
-      j.Protocol.j_channels
-  in
+  let* chans = all_ok (lookup "channel" fst channels) j.Protocol.j_channels in
   Ok
     (List.concat_map
-       (fun (pslug, plat) ->
+       (fun plat ->
          List.concat_map
-           (fun (cslug, kind) ->
+           (fun kind ->
              List.concat_map
-               (fun chan ->
+               (fun (chan, _) ->
                  List.init j.Protocol.j_trials (fun t ->
                      {
-                       cl_platform = pslug;
+                       cl_platform = plat.Tp_hw.Platform.name;
                        cl_plat = plat;
-                       cl_config = cslug;
+                       cl_config = Scenario.slug kind;
                        cl_kind = kind;
                        cl_channel = chan;
                        cl_trial = t;
@@ -201,26 +183,6 @@ let cell_rng (j : Protocol.job) c =
   in
   let d = Digest.string tag in
   Tp_util.Rng.create ~seed:(Int64.to_int (String.get_int64_le d 0))
-
-let prepare_channel c b =
-  let module Cc = Tp_attacks.Cache_channels in
-  match c.cl_channel with
-  | "kernel" ->
-      (Tp_attacks.Kernel_chan.prepare b, Tp_attacks.Kernel_chan.symbols)
-  | "flush" ->
-      (Tp_attacks.Flush_chan.(prepare Offline) b, Tp_attacks.Flush_chan.symbols)
-  | slug ->
-      let ch =
-        match slug with
-        | "l1d" -> Cc.l1d
-        | "l1i" -> Cc.l1i
-        | "tlb" -> Cc.tlb
-        | "btb" -> Cc.btb c.cl_plat
-        | "bhb" -> Cc.bhb
-        | "l2" -> Cc.l2
-        | _ -> invalid_arg ("Tp_serve.Engine: unknown channel " ^ slug)
-      in
-      (ch.Cc.prepare b, ch.Cc.symbols)
 
 let cell_key ~code_rev (j : Protocol.job) c =
   Store.key ~code_rev
@@ -252,7 +214,11 @@ let wall_reason = "wall-clock budget exhausted"
 
 let compute_cell (j : Protocol.job) c =
   let b = Scenario.boot c.cl_kind c.cl_plat in
-  let (sender, receiver), symbols = prepare_channel c b in
+  let (sender, receiver), symbols =
+    match List.assoc_opt c.cl_channel channels with
+    | Some prepare -> prepare c.cl_plat b
+    | None -> invalid_arg ("Tp_serve.Engine: unknown channel " ^ c.cl_channel)
+  in
   let spec =
     {
       (Harness.default_spec c.cl_plat) with

@@ -46,13 +46,6 @@ val point_dispatch : string
 val circuit_threshold : int
 (** Consecutive post-retry failures that open the circuit (5). *)
 
-val config_slugs : (string * Tp_core.Scenario.kind) list
-(** CLI-stable scenario slugs ([raw], [full-flush], [protected], ...),
-    shared with [tpsim]'s [-c] argument. *)
-
-val channel_slugs : string list
-(** [l1d; l1i; tlb; btb; bhb; l2; kernel; flush]. *)
-
 val code_rev : unit -> string
 (** Digest of the running executable: the "code rev" component of
     every cache key, so results never survive a rebuild. *)

@@ -47,6 +47,10 @@ val close : t -> unit
 (** Release the journal handle.  Using [t] afterwards raises. *)
 
 val dir : t -> string
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (mode 0755). *)
+
 val fsck_report : t -> fsck_report
 (** What {!open_} found and repaired. *)
 

@@ -6,6 +6,24 @@ open Tp_core
 let haswell = Tp_hw.Platform.haswell
 let sabre = Tp_hw.Platform.sabre
 
+(* Store keys, the campaign engine's cell RNG and the golden
+   kernel-certificate artifact names are all derived from these
+   strings: renaming or reordering one silently orphans every cached
+   result and golden. *)
+let test_scenario_slugs () =
+  Alcotest.(check (list string))
+    "slugs, in order"
+    [
+      "raw";
+      "full-flush";
+      "protected";
+      "coloured-only";
+      "no-pad";
+      "no-prefetcher";
+      "cat-llc";
+    ]
+    (List.map Scenario.slug Scenario.all)
+
 let test_scenario_configs () =
   let open Tp_kernel in
   let raw = Scenario.config Scenario.Raw haswell in
@@ -214,6 +232,7 @@ let test_fig4_driver () =
 
 let suite =
   [
+    Alcotest.test_case "scenario slugs" `Quick test_scenario_slugs;
     Alcotest.test_case "scenario configs" `Quick test_scenario_configs;
     Alcotest.test_case "scenario boot shapes" `Quick test_scenario_boot_shapes;
     Alcotest.test_case "quality parsing" `Quick test_quality_parsing;

@@ -170,15 +170,20 @@ let test_result_roundtrip () =
 let test_bad_job_rejected () =
   with_dir (fun dir ->
       with_store dir (fun store ->
-          match
-            E.run_job ~store ~code_rev:"r" ~jobs:1 ~compute:stub_compute
-              (P.job ~platforms:[ "pdp11" ] ())
-          with
-          | Error e ->
-              Alcotest.(check bool)
-                "names the bad platform" true
-                (contains_sub e "pdp11")
-          | Ok _ -> Alcotest.fail "unknown platform accepted"))
+          List.iter
+            (fun (what, bad, j) ->
+              match
+                E.run_job ~store ~code_rev:"r" ~jobs:1 ~compute:stub_compute j
+              with
+              | Error e ->
+                  Alcotest.(check bool)
+                    ("names the bad " ^ what) true (contains_sub e bad)
+              | Ok _ -> Alcotest.fail ("unknown " ^ what ^ " accepted"))
+            [
+              ("platform", "pdp11", P.job ~platforms:[ "pdp11" ] ());
+              ("config", "no-flush", P.job ~configs:[ "no-flush" ] ());
+              ("channel", "l3", P.job ~channels:[ "l1d"; "l3" ] ());
+            ]))
 
 let test_complete_then_cached () =
   with_dir (fun dir ->
