@@ -15,7 +15,11 @@
    words/op comes from Gc.minor_words over a separate run of the same
    batches, after warm-up; the per-access rows must read 0.
 
-   Usage: micro.exe  (no arguments; haswell geometry) *)
+   Usage: micro.exe [--json FILE]  (haswell geometry)
+
+   --json FILE also writes the table as a tpsim-bench/2 document, the
+   layer ledger committed as bench/ledger/BENCH_<rev>.json by every
+   change that claims a speedup. *)
 
 open Bechamel
 open Toolkit
@@ -212,8 +216,8 @@ let ns_per_op op =
   match
     Analyze.OLS.estimates (Analyze.one ols Instance.monotonic_clock raw)
   with
-  | Some (v :: _) -> Printf.sprintf "%.1f" (v /. float_of_int op.batch)
-  | _ -> "n/a"
+  | Some (v :: _) -> Some (v /. float_of_int op.batch)
+  | _ -> None
 
 let words_per_op op =
   op.run op.batch;
@@ -223,16 +227,65 @@ let words_per_op op =
     op.run op.batch
   done;
   let w = Gc.minor_words () -. before in
-  Printf.sprintf "%.1f" (w /. float_of_int (reps * op.batch))
+  w /. float_of_int (reps * op.batch)
+
+let ns_text ~none = Option.fold ~none ~some:(Printf.sprintf "%.1f")
+
+(* The layer ledger: the same rows as the table, one JSON object each,
+   ns/op [null] where the estimate failed. *)
+let write_json file rows =
+  let row (name, ns, words) =
+    Printf.sprintf
+      "    {\"operation\": \"%s\", \"ns_per_op\": %s, \"words_per_op\": %.1f}"
+      (Tp_util.Json.escape name)
+      (ns_text ~none:"null" ns)
+      words
+  in
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"schema\": \"tpsim-bench/2\",\n\
+        \  \"suite\": \"micro\",\n\
+        \  \"platform\": \"%s\",\n\
+        \  \"ocaml\": \"%s\",\n\
+        \  \"rows\": [\n\
+         %s\n\
+        \  ]\n\
+         }\n"
+        p.Tp_hw.Platform.name Sys.ocaml_version
+        (String.concat ",\n" (List.map row rows)))
 
 let () =
+  let json =
+    match Array.to_list Sys.argv with
+    | [ _ ] -> None
+    | [ _; "--json"; file ] -> Some file
+    | _ ->
+        prerr_endline "usage: micro.exe [--json FILE]";
+        exit 2
+  in
+  let rows =
+    List.map
+      (fun op ->
+        let words = words_per_op op in
+        (op.name, ns_per_op op, words))
+      ops
+  in
   let table =
     Tp_util.Table.create ~title:"Simulator hot-path costs"
       ~headers:[ "operation"; "ns/op"; "words/op" ]
   in
   List.iter
-    (fun op ->
-      let words = words_per_op op in
-      Tp_util.Table.add_row table [ op.name; ns_per_op op; words ])
-    ops;
-  Tp_util.Table.print table
+    (fun (name, ns, words) ->
+      Tp_util.Table.add_row table
+        [
+          name;
+          ns_text ~none:"n/a" ns;
+          Printf.sprintf "%.1f" words;
+        ])
+    rows;
+  Tp_util.Table.print table;
+  Option.iter (fun file -> write_json file rows) json

@@ -17,8 +17,8 @@
      them tracks the simulator hot path rather than host noise.
 
    The [--baseline] gate compares accesses/s against a previously
-   emitted JSON file and fails on a relative drop beyond
-   [--max-regress] percent.  Checked-in baselines should be generous
+   emitted JSON file and fails on a relative drop beyond [max_regress]
+   percent.  Checked-in baselines should be generous
    (see bench/baseline.json): CI hosts vary widely, the gate is there
    to catch order-of-magnitude hot-path regressions, not 5%% noise. *)
 
@@ -33,6 +33,8 @@ type exp_result = {
   r_wall_seq : float;
   r_wall_par : float;
   r_speedup : float;
+  r_pair_speedups : float array;
+      (* replay-sweep: live/replayed wall ratio of each leg pair *)
   r_cycles : int;
   r_accesses : int;
   r_cycles_per_sec : float;
@@ -145,15 +147,24 @@ let suite =
 
 (* Victim-execution-shaped measurement of the record-once/replay-many
    hot path: record one op stream per symbol, snapshot the machine,
-   then drive the same schedule of sender slices twice from the same
-   restored state — once live (the body re-executes, then idles to the
-   slice boundary in interrupt-latency steps) and once replayed
-   (Tp_hw.Replay re-executes the ops and collapses the idle span).
-   The final machine-state digests must be bit-identical — a speedup
-   that computes something different is a failure, same rule as the
-   parallel suite above — and the replay leg must clear the 5x
-   throughput floor the sweep hot path is built on. *)
+   then drive the same schedule of sender slices from the same restored
+   state both live (the body re-executes, then idles to the slice
+   boundary in interrupt-latency steps) and replayed (Tp_hw.Replay
+   re-executes the ops and collapses the idle span).  Every leg's final
+   machine-state digest must be bit-identical — a speedup that computes
+   something different is a failure, same rule as the parallel suite
+   above — and the replay legs must clear the 5x throughput floor the
+   sweep hot path is built on.
+
+   One leg lasts tens of milliseconds, so a single live/replayed pair
+   is at the mercy of host drift.  The row runs alternating pairs, at
+   least [replay_min_pairs] of them and for at least [replay_min_wall]
+   seconds, and gates the median pair ratio. *)
 let replay_speedup_floor = 5.0
+let replay_min_pairs = 5
+let replay_min_wall = 1.0
+
+type leg = { l_digest : string; l_cycles : int; l_accesses : int; l_wall : float }
 
 let replay_sweep_exp q p =
   let module H = Tp_attacks.Harness in
@@ -191,7 +202,7 @@ let replay_sweep_exp q p =
         failwith "tpsim bench: replay-sweep: recording came back incomplete")
     streams;
   let snap = Tp_hw.Machine.snapshot m in
-  let rounds = bench_trials q in
+  let rounds = 4 * bench_trials q in
   let leg md =
     Tp_hw.Machine.restore m snap;
     let c0 = System.now sys ~core:0 in
@@ -200,27 +211,55 @@ let replay_sweep_exp q p =
     for i = 0 to (rounds * symbols) - 1 do
       slice (md (i mod symbols))
     done;
-    let wall = Unix.gettimeofday () -. t0 in
-    ( Tp_hw.Machine.state_digest m,
-      System.now sys ~core:0 - c0,
-      accesses_of sys - a0,
-      wall )
+    let l_wall = Unix.gettimeofday () -. t0 in
+    {
+      l_digest = Tp_hw.Machine.state_digest m;
+      l_cycles = System.now sys ~core:0 - c0;
+      l_accesses = accesses_of sys - a0;
+      l_wall;
+    }
   in
-  let d_live, _, _, wall_live = leg (fun s -> `Live s) in
-  let d_rep, cycles, accesses, wall_rep = leg (fun s -> `Replay s) in
+  let t_start = Unix.gettimeofday () in
+  let rec run_pairs acc n =
+    if
+      n >= replay_min_pairs
+      && Unix.gettimeofday () -. t_start >= replay_min_wall
+    then List.rev acc
+    else
+      let live = leg (fun s -> `Live s) in
+      let rep = leg (fun s -> `Replay s) in
+      run_pairs ((live, rep) :: acc) (n + 1)
+  in
+  let pairs = run_pairs [] 0 in
+  let lives = List.map fst pairs and reps = List.map snd pairs in
+  let total f legs = List.fold_left (fun a l -> a + f l) 0 legs in
+  let wall legs = List.fold_left (fun a l -> a +. l.l_wall) 0.0 legs in
+  let ratios =
+    Array.of_list
+      (List.map
+         (fun (live, rep) ->
+           if rep.l_wall > 0.0 then live.l_wall /. rep.l_wall else 1.0)
+         pairs)
+  in
+  let digest = (List.hd lives).l_digest in
+  let wall_rep = wall reps in
+  let cycles = total (fun l -> l.l_cycles) reps in
+  let accesses = total (fun l -> l.l_accesses) reps in
   let per denom v = if denom > 0.0 then float_of_int v /. denom else 0.0 in
   {
     r_name = "replay-sweep";
     r_platform = p.Tp_hw.Platform.name;
-    r_trials = rounds * symbols;
-    r_wall_seq = wall_live;
+    r_trials = List.length reps * rounds * symbols;
+    r_wall_seq = wall lives;
     r_wall_par = wall_rep;
-    r_speedup = (if wall_rep > 0.0 then wall_live /. wall_rep else 1.0);
+    r_speedup = Tp_util.Stats.median ratios;
+    r_pair_speedups = ratios;
     r_cycles = cycles;
     r_accesses = accesses;
     r_cycles_per_sec = per wall_rep cycles;
     r_accesses_per_sec = per wall_rep accesses;
-    r_deterministic = d_live = d_rep;
+    r_deterministic =
+      List.for_all (fun l -> l.l_digest = digest) (lives @ reps);
   }
 
 (* ---- running ---------------------------------------------------- *)
@@ -246,6 +285,7 @@ let run_exp q ~seed ~jobs p x =
     r_wall_seq = wall_seq;
     r_wall_par = wall_par;
     r_speedup = (if wall_par > 0.0 then wall_seq /. wall_par else 1.0);
+    r_pair_speedups = [||];
     r_cycles = cycles;
     r_accesses = accesses;
     r_cycles_per_sec = per wall_par cycles;
@@ -377,11 +417,21 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline () =
   List.iter
     (fun r ->
       Format.printf
-        "  %-12s %-8s %2d trials  %7.3fs seq  %7.3fs par  %5.2fx  %10.0f \
+        "  %-12s %-8s %4d trials  %7.3fs seq  %7.3fs par  %5.2fx  %10.0f \
          acc/s  %s@."
         r.r_name r.r_platform r.r_trials r.r_wall_seq r.r_wall_par r.r_speedup
         r.r_accesses_per_sec
         (if r.r_deterministic then "bit-identical" else "MISMATCH"))
+    results;
+  List.iter
+    (fun r ->
+      if r.r_pair_speedups <> [||] then
+        Format.printf "  %-12s %-8s pairs: %s  (median %.2fx, floor %.1fx)@."
+          r.r_name r.r_platform
+          (String.concat " "
+             (Array.to_list
+                (Array.map (Printf.sprintf "%.2fx") r.r_pair_speedups)))
+          r.r_speedup replay_speedup_floor)
     results;
   let nondet = List.filter (fun r -> not r.r_deterministic) results in
   List.iter
@@ -408,7 +458,8 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline () =
   List.iter
     (fun r ->
       Printf.eprintf
-        "tpsim bench: FAIL %s/%s: replay speedup %.2fx below the %.0fx floor\n%!"
+        "tpsim bench: FAIL %s/%s: median replay speedup %.2fx below the \
+         %.0fx floor\n%!"
         r.r_name r.r_platform r.r_speedup replay_speedup_floor)
     slow_replay;
   (match json_out with

@@ -229,15 +229,18 @@ let insert_clean t ~vaddr ~paddr =
   if insert_clean_fast t ~vaddr ~paddr then Hit
   else Miss { evicted_dirty = t.ev_dirty; evicted = t.ev_line }
 
+(* An empty cache holds no line to purge: the inclusive LLC's snoops
+   of idle cores' private caches return before probing a set. *)
 let invalidate_line t ~vaddr ~paddr =
-  let set = set_of t ~vaddr ~paddr in
-  let i = find_way t set (tag_of t ~paddr) in
-  if i >= 0 then begin
-    Tp_obs.Counter.incr t.st_invals;
-    if t.dirty.(i) then t.n_dirty <- t.n_dirty - 1;
-    t.dirty.(i) <- false;
-    t.tags.(i) <- -1;
-    t.n_valid <- t.n_valid - 1
+  if t.n_valid > 0 then begin
+    let i = find_way t (set_of t ~vaddr ~paddr) (tag_of t ~paddr) in
+    if i >= 0 then begin
+      Tp_obs.Counter.incr t.st_invals;
+      if t.dirty.(i) then t.n_dirty <- t.n_dirty - 1;
+      t.dirty.(i) <- false;
+      t.tags.(i) <- -1;
+      t.n_valid <- t.n_valid - 1
+    end
   end
 
 let flush t =

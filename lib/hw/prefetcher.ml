@@ -7,6 +7,7 @@ type tracker = {
 
 type t = {
   slots : int;
+  slot_bits : int; (* log2 slots: the partial tag sits above the index *)
   degree : int;
   table : tracker array;
   mutable enabled : bool;
@@ -31,6 +32,7 @@ let create ?(name = "prefetcher") ~slots ~degree () =
   let st_resets = Tp_obs.Counter.counter st "hard_resets" in
   {
     slots;
+    slot_bits = Defs.log2 slots;
     degree;
     table =
       Array.init slots (fun _ ->
@@ -65,7 +67,7 @@ let on_access t ~paddr ~line ~out =
     let page = paddr / Defs.page_size in
     let line_off = Defs.page_offset paddr / line in
     let slot = slot_of t ~page in
-    let ptag = (page lsr Defs.log2 t.slots) land ((1 lsl partial_tag_bits) - 1) in
+    let ptag = (page lsr t.slot_bits) land ((1 lsl partial_tag_bits) - 1) in
     let tr = t.table.(slot) in
     let lines_per_page = Defs.page_size / line in
     if tr.ptag = ptag then begin

@@ -419,6 +419,76 @@ let test_machine_llc_back_invalidation () =
   Alcotest.(check bool) "LLC eviction back-invalidates core0 L1" false
     (Cache.probe (Machine.l1d m ~core:0) ~vaddr:0x40000 ~paddr:0x40000)
 
+(* Core 0 writes a 12 MiB buffer line by line, half again the haswell
+   LLC, so every fill beyond the first 8 MiB evicts an LLC line and
+   snoops the private caches of all four cores, three of them empty.
+   Between writes it re-reads a 4 KiB hot buffer, which stays in its
+   L1-D while the LLC ages it out, so some snoops find their line.  The
+   final state digest and every cache's counters were recorded before
+   snoops of empty caches returned early; that shortcut must change
+   neither. *)
+let test_machine_stream_snoops () =
+  let was = Tp_obs.Ctl.counters_on () in
+  Tp_obs.Ctl.set_counters true;
+  let m = Machine.create Platform.haswell in
+  Fun.protect
+    ~finally:(fun () -> Tp_obs.Ctl.set_counters was)
+    (fun () ->
+      for i = 0 to (12 * 1024 * 1024 / 64) - 1 do
+        ignore (plain_access m ~core:0 ~asid:1 ~addr:(i * 64) ~kind:Defs.Write);
+        let hot = (16 * 1024 * 1024) + (i land 63 * 64) in
+        ignore (plain_access m ~core:0 ~asid:1 ~addr:hot ~kind:Defs.Read)
+      done);
+  let counters c =
+    let s = Cache.counters c in
+    (Tp_obs.Counter.set_name s, Tp_obs.Counter.snapshot s)
+  in
+  let caches =
+    List.concat_map
+      (fun core ->
+        [ Machine.l1d m ~core; Machine.l1i m ~core ]
+        @ Option.to_list (Machine.l2 m ~core))
+      (List.init (Machine.n_cores m) Fun.id)
+    @ [ Machine.llc m ]
+  in
+  let expect ~hits ~misses ~writebacks ~prefetch_fills ~invalidations =
+    [
+      ("hits", hits);
+      ("misses", misses);
+      ("writebacks", writebacks);
+      ("prefetch_fills", prefetch_fills);
+      ("invalidations", invalidations);
+      ("flushes", 0);
+      ("flush_writebacks", 0);
+    ]
+  in
+  let idle =
+    expect ~hits:0 ~misses:0 ~writebacks:0 ~prefetch_fills:0 ~invalidations:0
+  in
+  let idle_core c =
+    [ (c ^ ".l1d", idle); (c ^ ".l1i", idle); (c ^ ".l2", idle) ]
+  in
+  Alcotest.(check string) "state digest" "861757dbb4e689d63f332eee4bb981c2"
+    (Machine.state_digest m);
+  Alcotest.(check (list (pair string (list (pair string int)))))
+    "cache counters"
+    ([
+       ( "c0.l1d",
+         expect ~hits:196480 ~misses:196736 ~writebacks:196160
+           ~prefetch_fills:0 ~invalidations:64 );
+       ("c0.l1i", idle);
+       ( "c0.l2",
+         expect ~hits:181500 ~misses:15236 ~writebacks:0
+           ~prefetch_fills:181500 ~invalidations:0 );
+     ]
+    @ idle_core "c1" @ idle_core "c2" @ idle_core "c3"
+    @ [
+        ( "llc",
+          expect ~hits:178426 ~misses:196736 ~writebacks:0 ~prefetch_fills:0
+            ~invalidations:0 );
+      ])
+    (List.map counters caches)
+
 let test_machine_flush_ops () =
   let m = Machine.create Platform.sabre in
   ignore (plain_access m ~core:0 ~asid:1 ~addr:0 ~kind:Defs.Write);
@@ -578,6 +648,7 @@ let suite =
     Alcotest.test_case "machine cycle accounting" `Quick test_machine_cycles_accumulate;
     Alcotest.test_case "machine LLC back-invalidation" `Quick
       test_machine_llc_back_invalidation;
+    Alcotest.test_case "machine stream snoops" `Quick test_machine_stream_snoops;
     Alcotest.test_case "machine flush ops" `Quick test_machine_flush_ops;
     Alcotest.test_case "machine flush cost vs dirtiness" `Quick
       test_machine_flush_cost_depends_on_dirtiness;
