@@ -15,6 +15,12 @@
    words/op comes from Gc.minor_words over a separate run of the same
    batches, after warm-up; the per-access rows must read 0.
 
+   A single estimate per row moves by up to 1.7x between back-to-back
+   runs on a shared host, so the suite runs in rounds: each round
+   measures every row once, in table order, and a row reports the
+   median of its rounds with their min and max.  Interleaving spreads
+   host drift over all rows instead of landing it on a few.
+
    Usage: micro.exe [--json FILE]  (haswell geometry)
 
    --json FILE also writes the table as a tpsim-bench/2 document, the
@@ -229,16 +235,39 @@ let words_per_op op =
   let w = Gc.minor_words () -. before in
   w /. float_of_int (reps * op.batch)
 
+(* Estimates per row (see the header). *)
+let rounds = 5
+
+(* One row's ns/op over the rounds: median, min and max of the
+   estimates that succeeded ([None] if none did). *)
+type spread = { median : float; lo : float; hi : float }
+
+let spread estimates =
+  match Array.of_list (List.filter_map Fun.id estimates) with
+  | [||] -> None
+  | a ->
+      Some
+        {
+          median = Tp_util.Stats.median a;
+          lo = Array.fold_left Float.min infinity a;
+          hi = Array.fold_left Float.max neg_infinity a;
+        }
+
 let ns_text ~none = Option.fold ~none ~some:(Printf.sprintf "%.1f")
+let ns_field f ~none s = ns_text ~none (Option.map f s)
 
 (* The layer ledger: the same rows as the table, one JSON object each,
-   ns/op [null] where the estimate failed. *)
+   ns/op [null] where every estimate failed. *)
 let write_json file rows =
   let row (name, ns, words) =
+    let field f = ns_field f ~none:"null" ns in
     Printf.sprintf
-      "    {\"operation\": \"%s\", \"ns_per_op\": %s, \"words_per_op\": %.1f}"
+      "    {\"operation\": \"%s\", \"ns_per_op\": %s, \"ns_min\": %s, \
+       \"ns_max\": %s, \"words_per_op\": %.1f}"
       (Tp_util.Json.escape name)
-      (ns_text ~none:"null" ns)
+      (field (fun s -> s.median))
+      (field (fun s -> s.lo))
+      (field (fun s -> s.hi))
       words
   in
   let oc = open_out file in
@@ -251,11 +280,12 @@ let write_json file rows =
         \  \"suite\": \"micro\",\n\
         \  \"platform\": \"%s\",\n\
         \  \"ocaml\": \"%s\",\n\
+        \  \"rounds\": %d,\n\
         \  \"rows\": [\n\
          %s\n\
         \  ]\n\
          }\n"
-        p.Tp_hw.Platform.name Sys.ocaml_version
+        p.Tp_hw.Platform.name Sys.ocaml_version rounds
         (String.concat ",\n" (List.map row rows)))
 
 let () =
@@ -267,23 +297,32 @@ let () =
         prerr_endline "usage: micro.exe [--json FILE]";
         exit 2
   in
+  let words = List.map words_per_op ops in
+  (* Round-major: every row once per round, so drift lands on all rows
+     alike. *)
+  let per_round = List.init rounds (fun _ -> List.map ns_per_op ops) in
   let rows =
-    List.map
-      (fun op ->
-        let words = words_per_op op in
-        (op.name, ns_per_op op, words))
-      ops
+    List.mapi
+      (fun i (op, words) ->
+        (op.name, spread (List.map (fun r -> List.nth r i) per_round), words))
+      (List.combine ops words)
   in
   let table =
-    Tp_util.Table.create ~title:"Simulator hot-path costs"
-      ~headers:[ "operation"; "ns/op"; "words/op" ]
+    Tp_util.Table.create
+      ~title:
+        (Printf.sprintf "Simulator hot-path costs (ns/op over %d rounds)"
+           rounds)
+      ~headers:[ "operation"; "ns/op (median)"; "min"; "max"; "words/op" ]
   in
   List.iter
     (fun (name, ns, words) ->
+      let field f = ns_field f ~none:"n/a" ns in
       Tp_util.Table.add_row table
         [
           name;
-          ns_text ~none:"n/a" ns;
+          field (fun s -> s.median);
+          field (fun s -> s.lo);
+          field (fun s -> s.hi);
           Printf.sprintf "%.1f" words;
         ])
     rows;

@@ -40,7 +40,13 @@ type exp_result = {
   r_cycles_per_sec : float;
   r_accesses_per_sec : float;
   r_deterministic : bool;
+  r_failure : string option;
+      (* why the row produced no result (its other fields are then 0) *)
 }
+
+(* A trial that cannot produce a result, with the harness's reason:
+   the row is reported as failed and the suite goes on. *)
+exception Row_failed of string
 
 (* ---- per-trial instrumentation ---------------------------------- *)
 
@@ -87,7 +93,16 @@ let channel_trial ~scenario ~prepare ~symbols q ~seed ~trial p =
       symbols;
     }
   in
-  let s = Tp_attacks.Harness.run_pair b ~sender ~receiver spec ~rng in
+  let r = Tp_attacks.Harness.run_pair_result b ~sender ~receiver spec ~rng in
+  let s = r.Tp_attacks.Harness.data in
+  if Array.length s.Tp_channel.Mi.input = 0 then
+    raise
+      (Row_failed
+         ("no samples collected"
+         ^
+         match r.Tp_attacks.Harness.degraded_reason with
+         | Some why -> ": " ^ why
+         | None -> ""));
   {
     t_digest = digest_samples s;
     t_cycles = System.now b.Boot.sys ~core:0;
@@ -260,6 +275,7 @@ let replay_sweep_exp q p =
     r_accesses_per_sec = per wall_rep accesses;
     r_deterministic =
       List.for_all (fun l -> l.l_digest = digest) (lives @ reps);
+    r_failure = None;
   }
 
 (* ---- running ---------------------------------------------------- *)
@@ -269,29 +285,48 @@ let time f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-let run_exp q ~seed ~jobs p x =
-  let n = bench_trials q in
-  let trial i = x.x_run q ~seed ~trial:i p in
-  let seq, wall_seq = time (fun () -> Tp_par.Pool.run ~jobs:1 n trial) in
-  let par, wall_par = time (fun () -> Tp_par.Pool.run ~jobs n trial) in
-  let det = seq = par in
-  let cycles = Array.fold_left (fun a t -> a + t.t_cycles) 0 par in
-  let accesses = Array.fold_left (fun a t -> a + t.t_accesses) 0 par in
-  let per denom v = if denom > 0.0 then float_of_int v /. denom else 0.0 in
+let failed_row x p why =
   {
     r_name = x.x_name;
     r_platform = p.Tp_hw.Platform.name;
-    r_trials = n;
-    r_wall_seq = wall_seq;
-    r_wall_par = wall_par;
-    r_speedup = (if wall_par > 0.0 then wall_seq /. wall_par else 1.0);
+    r_trials = 0;
+    r_wall_seq = 0.0;
+    r_wall_par = 0.0;
+    r_speedup = 0.0;
     r_pair_speedups = [||];
-    r_cycles = cycles;
-    r_accesses = accesses;
-    r_cycles_per_sec = per wall_par cycles;
-    r_accesses_per_sec = per wall_par accesses;
-    r_deterministic = det;
+    r_cycles = 0;
+    r_accesses = 0;
+    r_cycles_per_sec = 0.0;
+    r_accesses_per_sec = 0.0;
+    r_deterministic = true;
+    r_failure = Some why;
   }
+
+let run_exp q ~seed ~jobs p x =
+  let n = bench_trials q in
+  let trial i = x.x_run q ~seed ~trial:i p in
+  match time (fun () -> Tp_par.Pool.run ~jobs:1 n trial) with
+  | exception Row_failed why -> failed_row x p why
+  | seq, wall_seq ->
+      let par, wall_par = time (fun () -> Tp_par.Pool.run ~jobs n trial) in
+      let cycles = Array.fold_left (fun a t -> a + t.t_cycles) 0 par in
+      let accesses = Array.fold_left (fun a t -> a + t.t_accesses) 0 par in
+      let per denom v = if denom > 0.0 then float_of_int v /. denom else 0.0 in
+      {
+        r_name = x.x_name;
+        r_platform = p.Tp_hw.Platform.name;
+        r_trials = n;
+        r_wall_seq = wall_seq;
+        r_wall_par = wall_par;
+        r_speedup = (if wall_par > 0.0 then wall_seq /. wall_par else 1.0);
+        r_pair_speedups = [||];
+        r_cycles = cycles;
+        r_accesses = accesses;
+        r_cycles_per_sec = per wall_par cycles;
+        r_accesses_per_sec = per wall_par accesses;
+        r_deterministic = seq = par;
+        r_failure = None;
+      }
 
 let max_rss_kib () =
   try
@@ -323,17 +358,27 @@ let json_of_results ~jobs ~quality results =
        jobs quality (max_rss_kib ()));
   List.iteri
     (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"platform\": \"%s\", \"trials\": %d,\n\
-           \     \"wall_s_seq\": %.6f, \"wall_s\": %.6f, \"speedup\": %.3f,\n\
-           \     \"cycles\": %d, \"accesses\": %d,\n\
-           \     \"cycles_per_sec\": %.1f, \"accesses_per_sec\": %.1f,\n\
-           \     \"deterministic\": %b}%s\n"
-           r.r_name r.r_platform r.r_trials r.r_wall_seq r.r_wall_par
-           r.r_speedup r.r_cycles r.r_accesses r.r_cycles_per_sec
-           r.r_accesses_per_sec r.r_deterministic
-           (if i = List.length results - 1 then "" else ",")))
+      let sep = if i = List.length results - 1 then "" else "," in
+      match r.r_failure with
+      | Some why ->
+          Buffer.add_string b
+            (Printf.sprintf
+               "    {\"name\": \"%s\", \"platform\": \"%s\", \"failed\": \
+                \"%s\"}%s\n"
+               r.r_name r.r_platform (Tp_util.Json.escape why) sep)
+      | None ->
+          Buffer.add_string b
+            (Printf.sprintf
+               "    {\"name\": \"%s\", \"platform\": \"%s\", \"trials\": \
+                %d,\n\
+               \     \"wall_s_seq\": %.6f, \"wall_s\": %.6f, \"speedup\": \
+                %.3f,\n\
+               \     \"cycles\": %d, \"accesses\": %d,\n\
+               \     \"cycles_per_sec\": %.1f, \"accesses_per_sec\": %.1f,\n\
+               \     \"deterministic\": %b}%s\n"
+               r.r_name r.r_platform r.r_trials r.r_wall_seq r.r_wall_par
+               r.r_speedup r.r_cycles r.r_accesses r.r_cycles_per_sec
+               r.r_accesses_per_sec r.r_deterministic sep))
     results;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
@@ -378,7 +423,10 @@ let check_baseline ~baseline results =
   in
   List.filter_map
     (fun r ->
-      match lookup r.r_name r.r_platform with
+      let base =
+        if r.r_failure = None then lookup r.r_name r.r_platform else None
+      in
+      match base with
       | None -> None
       | Some base when base <= 0.0 -> None
       | Some base ->
@@ -416,12 +464,16 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline () =
     (quality_name q) seed;
   List.iter
     (fun r ->
-      Format.printf
-        "  %-12s %-8s %4d trials  %7.3fs seq  %7.3fs par  %5.2fx  %10.0f \
-         acc/s  %s@."
-        r.r_name r.r_platform r.r_trials r.r_wall_seq r.r_wall_par r.r_speedup
-        r.r_accesses_per_sec
-        (if r.r_deterministic then "bit-identical" else "MISMATCH"))
+      match r.r_failure with
+      | Some why ->
+          Format.printf "  %-12s %-8s FAILED: %s@." r.r_name r.r_platform why
+      | None ->
+          Format.printf
+            "  %-12s %-8s %4d trials  %7.3fs seq  %7.3fs par  %5.2fx  %10.0f \
+             acc/s  %s@."
+            r.r_name r.r_platform r.r_trials r.r_wall_seq r.r_wall_par
+            r.r_speedup r.r_accesses_per_sec
+            (if r.r_deterministic then "bit-identical" else "MISMATCH"))
     results;
   List.iter
     (fun r ->
@@ -433,6 +485,12 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline () =
                 (Array.map (Printf.sprintf "%.2fx") r.r_pair_speedups)))
           r.r_speedup replay_speedup_floor)
     results;
+  let failed = List.filter (fun r -> r.r_failure <> None) results in
+  List.iter
+    (fun r ->
+      Printf.eprintf "tpsim bench: FAIL %s/%s: %s\n%!" r.r_name r.r_platform
+        (Option.get r.r_failure))
+    failed;
   let nondet = List.filter (fun r -> not r.r_deterministic) results in
   List.iter
     (fun r ->
@@ -494,4 +552,6 @@ let run q ~seed ~jobs ~platforms ~json_out ~baseline () =
          (-%.1f%% > %.1f%% allowed)\n%!"
         g.g_name g.g_platform g.g_current g.g_baseline g.g_drop_pct max_regress)
     regressions;
-  if nondet <> [] || slow_replay <> [] || regressions <> [] then 1 else 0
+  if failed <> [] || nondet <> [] || slow_replay <> [] || regressions <> []
+  then 1
+  else 0

@@ -52,14 +52,16 @@ type result = Predicted | Mispredicted
 
 let set_of t addr = (addr lsr index_shift) land (t.n_sets - 1)
 
+(* A plain loop: a local recursive function would allocate its closure
+   on every branch. *)
 let find t addr =
   let base = set_of t addr * t.g.ways in
-  let rec go w =
-    if w = t.g.ways then -1
-    else if t.tags.(base + w) = addr then base + w
-    else go (w + 1)
-  in
-  go 0
+  let stop = base + t.g.ways in
+  let i = ref base in
+  while !i < stop && t.tags.(!i) <> addr do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let lru_way t set =
   let base = set * t.g.ways in

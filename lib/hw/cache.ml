@@ -76,20 +76,20 @@ let counters t = t.st
 
 let geometry t = t.g
 
-let set_of t ~vaddr ~paddr =
+let[@inline] set_of t ~vaddr ~paddr =
   let index_addr = match t.g.indexing with Virtual -> vaddr | Physical -> paddr in
   (index_addr lsr t.line_bits) land (t.n_sets - 1)
 
 (* The tag is the full physical line address; since we never need to
    reconstruct set/tag splits this is simplest and collision-free. *)
-let tag_of t ~paddr = paddr lsr t.line_bits
+let[@inline] tag_of t ~paddr = paddr lsr t.line_bits
 
 type result = Hit | Miss of { evicted_dirty : bool; evicted : int }
 
 (* Way search, unrolled for the associativities the platforms actually
-   use.  unsafe_get is safe by construction: the arrays hold
-   [n_sets * ways] entries, [set] is masked by the pow-2 [n_sets - 1]
-   and [w < ways], so [base + w] cannot escape. *)
+   use (16 is the LLCs').  unsafe_get is safe by construction: the
+   arrays hold [n_sets * ways] entries, [set] is masked by the pow-2
+   [n_sets - 1] and [w < ways], so [base + w] cannot escape. *)
 let find_way t set tag =
   let tags = t.tags in
   let base = set * t.n_ways in
@@ -115,9 +115,27 @@ let find_way t set tag =
       else if Array.unsafe_get tags (base + 6) = tag then base + 6
       else if Array.unsafe_get tags (base + 7) = tag then base + 7
       else -1
+  | 16 ->
+      if Array.unsafe_get tags base = tag then base
+      else if Array.unsafe_get tags (base + 1) = tag then base + 1
+      else if Array.unsafe_get tags (base + 2) = tag then base + 2
+      else if Array.unsafe_get tags (base + 3) = tag then base + 3
+      else if Array.unsafe_get tags (base + 4) = tag then base + 4
+      else if Array.unsafe_get tags (base + 5) = tag then base + 5
+      else if Array.unsafe_get tags (base + 6) = tag then base + 6
+      else if Array.unsafe_get tags (base + 7) = tag then base + 7
+      else if Array.unsafe_get tags (base + 8) = tag then base + 8
+      else if Array.unsafe_get tags (base + 9) = tag then base + 9
+      else if Array.unsafe_get tags (base + 10) = tag then base + 10
+      else if Array.unsafe_get tags (base + 11) = tag then base + 11
+      else if Array.unsafe_get tags (base + 12) = tag then base + 12
+      else if Array.unsafe_get tags (base + 13) = tag then base + 13
+      else if Array.unsafe_get tags (base + 14) = tag then base + 14
+      else if Array.unsafe_get tags (base + 15) = tag then base + 15
+      else -1
   | ways ->
       (* A plain loop, not a local recursive function: a closure here
-         would allocate on every probe of the 16-way LLCs. *)
+         would allocate on every probe. *)
       let stop = base + ways in
       let i = ref base in
       while !i < stop && Array.unsafe_get tags !i <> tag do
@@ -129,7 +147,7 @@ let find_way t set tag =
    indices).  The first invalid allowed way wins outright — LRU order
    among invalid ways is meaningless, so there is no reason to keep
    scanning once one is found. *)
-let lru_way t set mask =
+let lru_way_masked t set mask =
   let base = set * t.n_ways in
   let tags = t.tags and age = t.age in
   let best = ref (-1) in
@@ -150,11 +168,39 @@ let lru_way t set mask =
     !best
   end
 
-let touch t i =
+(* The same victim when every way is allowed (every access outside a
+   CAT class): the first invalid way, else the first way of minimum
+   age — two plain scans with no mask test per way. *)
+let lru_way_all t set =
+  let base = set * t.n_ways in
+  let stop = base + t.n_ways in
+  let tags = t.tags and age = t.age in
+  let i = ref base in
+  while !i < stop && Array.unsafe_get tags !i <> -1 do
+    incr i
+  done;
+  if !i < stop then !i
+  else begin
+    let best = ref base in
+    let best_age = ref (Array.unsafe_get age base) in
+    for j = base + 1 to stop - 1 do
+      let a = Array.unsafe_get age j in
+      if a < !best_age then begin
+        best := j;
+        best_age := a
+      end
+    done;
+    !best
+  end
+
+let[@inline] lru_way t set mask =
+  if mask = t.way_mask then lru_way_all t set else lru_way_masked t set mask
+
+let[@inline] touch t i =
   t.clock <- t.clock + 1;
   Array.unsafe_set t.age i t.clock
 
-let alloc t set tag ~dirty ~mask ~obs =
+let[@inline] alloc t set tag ~dirty ~mask ~obs =
   let i = lru_way t set mask in
   let old = Array.unsafe_get t.tags i in
   let evicted_dirty = old <> -1 && Array.unsafe_get t.dirty i in
@@ -174,7 +220,7 @@ let alloc t set tag ~dirty ~mask ~obs =
    left in [ev_line]/[ev_dirty] ({!last_evicted}/{!last_evicted_dirty})
    instead of a boxed [Miss] record.  One counters_on check covers
    every recording of the access. *)
-let access_masked_fast t ~alloc_ways ~vaddr ~paddr ~write =
+let[@inline] access_masked_fast t ~alloc_ways ~vaddr ~paddr ~write =
   let mask = alloc_ways land t.way_mask in
   assert (mask <> 0);
   let obs = Tp_obs.Ctl.counters_on () in
@@ -196,11 +242,11 @@ let access_masked_fast t ~alloc_ways ~vaddr ~paddr ~write =
     false
   end
 
-let access_fast t ~vaddr ~paddr ~write =
+let[@inline] access_fast t ~vaddr ~paddr ~write =
   access_masked_fast t ~alloc_ways:max_int ~vaddr ~paddr ~write
 
-let last_evicted t = t.ev_line
-let last_evicted_dirty t = t.ev_dirty
+let[@inline] last_evicted t = t.ev_line
+let[@inline] last_evicted_dirty t = t.ev_dirty
 
 let access_masked t ~alloc_ways ~vaddr ~paddr ~write =
   if access_masked_fast t ~alloc_ways ~vaddr ~paddr ~write then Hit
@@ -209,11 +255,11 @@ let access_masked t ~alloc_ways ~vaddr ~paddr ~write =
 let access t ~vaddr ~paddr ~write =
   access_masked t ~alloc_ways:max_int ~vaddr ~paddr ~write
 
-let probe t ~vaddr ~paddr =
+let[@inline] probe t ~vaddr ~paddr =
   let set = set_of t ~vaddr ~paddr in
   find_way t set (tag_of t ~paddr) >= 0
 
-let insert_clean_fast t ~vaddr ~paddr =
+let[@inline] insert_clean_fast t ~vaddr ~paddr =
   let set = set_of t ~vaddr ~paddr in
   let tag = tag_of t ~paddr in
   let i = find_way t set tag in
@@ -231,7 +277,7 @@ let insert_clean t ~vaddr ~paddr =
 
 (* An empty cache holds no line to purge: the inclusive LLC's snoops
    of idle cores' private caches return before probing a set. *)
-let invalidate_line t ~vaddr ~paddr =
+let[@inline] invalidate_line t ~vaddr ~paddr =
   if t.n_valid > 0 then begin
     let i = find_way t (set_of t ~vaddr ~paddr) (tag_of t ~paddr) in
     if i >= 0 then begin

@@ -34,12 +34,12 @@ let counters t = t.st
    spread conflicts; consequently page colouring (which constrains only
    the low page-number bits) cannot partition the banks — DRAM rows are
    microarchitectural state outside OS control, like the prefetcher. *)
-let bank_of_row cfg row =
+let[@inline] bank_of_row cfg row =
   (row lxor (row lsr 3) lxor (row lsr 7)) land (cfg.banks - 1)
 
 let bank_of cfg ~paddr = bank_of_row cfg (paddr lsr cfg.row_bits)
 
-let access t ~paddr =
+let[@inline] access t ~paddr =
   let row = paddr lsr t.cfg.row_bits in
   let bank = bank_of_row t.cfg row in
   if t.open_rows.(bank) = row then begin

@@ -35,6 +35,7 @@ type t = {
   llc : Cache.t;
   dram : Dram.t;
   bus : Interconnect.t;
+  line_bits : int; (* log2 of the platform's line size *)
 }
 
 (* Flush cost model, calibrated so the Table 2 shapes hold: invalidating
@@ -96,6 +97,7 @@ let create platform =
       cores = Array.init platform.cores mk_core;
       llc = Cache.create ~name:"llc" platform.llc;
       dram = Dram.create ~name:"dram" platform.dram;
+      line_bits = Defs.log2 platform.line;
       (* Memory-bus service rate scaled to the platform: 1.3x the rate of
          a single latency-bound DRAM stream, so one stream fits and two
          concurrent ones contend. *)
@@ -165,7 +167,7 @@ let add_cycles t ~core:i n = (core t i).cycles <- (core t i).cycles + n
    offset — in practice user mappings here are vaddr=colour-preserving,
    so invalidating with vaddr=paddr covers the common case and the
    over-approximation only loses a little timing fidelity. *)
-let back_invalidate t line_paddr =
+let[@inline] back_invalidate t line_paddr =
   if line_paddr >= 0 then
     for i = 0 to Array.length t.cores - 1 do
       let c = Array.unsafe_get t.cores i in
@@ -180,7 +182,7 @@ let back_invalidate t line_paddr =
    returns latency.  LLC misses are memory-bus transactions — the
    bandwidth-limited, contended resource; LLC hits are served by the
    (much wider) on-chip fabric and are not bus-accounted. *)
-let shared_access t c ~core_id ~llc_ways ~paddr =
+let[@inline] shared_access t c ~core_id ~llc_ways ~paddr =
   let p = t.platform in
   if
     Cache.access_masked_fast t.llc ~alloc_ways:llc_ways ~vaddr:paddr ~paddr
@@ -196,7 +198,7 @@ let shared_access t c ~core_id ~llc_ways ~paddr =
 
 (* Issue the [n] prefetches the stream prefetcher left in [c.pf_out]:
    insert into the private L2 and the (inclusive) LLC. *)
-let issue_prefetches t c ~llc_ways n =
+let[@inline] issue_prefetches t c ~llc_ways n =
   Tp_obs.Counter.add c.st_prefetch_lines n;
   for i = 0 to n - 1 do
     let pf = c.pf_out.(i) in
@@ -215,64 +217,51 @@ let issue_prefetches t c ~llc_ways n =
 let all_ways = max_int
 let no_walk = -1
 
-(* Every argument is required: optional ones would box a [Some] per
-   call, and this path runs once per simulated access. *)
-let rec access t ~core:core_id ~asid ~global ~llc_ways ~pt_root ~pt_leaf
-    ~vaddr ~paddr ~kind =
-  let c = core t core_id in
+(* The cache-hierarchy part of an access (L1, then the private L2 and
+   the stream prefetcher it feeds, then the LLC and DRAM): returns its
+   latency and charges nothing to [c.cycles] itself. *)
+let[@inline] data_latency t c ~core_id ~llc_ways ~vaddr ~paddr ~kind =
   let p = t.platform in
   let write = match kind with Defs.Write -> true | Defs.Read | Defs.Fetch -> false in
-  Tp_obs.Counter.incr c.st_accesses;
-  let vpn = Defs.page_of vaddr in
-  let lat_tlb =
-    tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~pt_root ~pt_leaf
-  in
-  let already_charged = c.walk_charged in
   let l1 = match kind with Defs.Fetch -> c.l1i | Defs.Read | Defs.Write -> c.l1d in
-  let lat =
-    if Cache.access_fast l1 ~vaddr ~paddr ~write then p.Platform.lat_l1
-    else begin
-      let l1_wb = if Cache.last_evicted_dirty l1 then wb_cost_per_line else 0 in
-      let inner =
-        match c.l2 with
-        | Some l2 -> begin
-            (* The stream prefetcher observes L2 traffic (L1 misses). *)
-            let pf_cost =
-              match c.prefetcher with
-              | Some pf ->
-                  let n =
-                    Prefetcher.on_access pf ~paddr ~line:p.Platform.line
-                      ~out:c.pf_out
-                  in
-                  issue_prefetches t c ~llc_ways n
-              | None -> 0
+  if Cache.access_fast l1 ~vaddr ~paddr ~write then p.Platform.lat_l1
+  else begin
+    let l1_wb = if Cache.last_evicted_dirty l1 then wb_cost_per_line else 0 in
+    let inner =
+      match c.l2 with
+      | Some l2 -> begin
+          (* The stream prefetcher observes L2 traffic (L1 misses). *)
+          let pf_cost =
+            match c.prefetcher with
+            | Some pf ->
+                let n =
+                  Prefetcher.on_access pf ~paddr ~line_bits:t.line_bits
+                    ~out:c.pf_out
+                in
+                issue_prefetches t c ~llc_ways n
+            | None -> 0
+          in
+          if Cache.access_fast l2 ~vaddr:paddr ~paddr ~write:false then
+            p.Platform.lat_l2 + pf_cost
+          else begin
+            let l2_wb =
+              if Cache.last_evicted_dirty l2 then wb_cost_per_line else 0
             in
-            if Cache.access_fast l2 ~vaddr:paddr ~paddr ~write:false then
-              p.Platform.lat_l2 + pf_cost
-            else begin
-              let l2_wb =
-                if Cache.last_evicted_dirty l2 then wb_cost_per_line else 0
-              in
-              p.Platform.lat_l2 + l2_wb + pf_cost
-              + shared_access t c ~core_id ~llc_ways ~paddr
-            end
+            p.Platform.lat_l2 + l2_wb + pf_cost
+            + shared_access t c ~core_id ~llc_ways ~paddr
           end
-        | None -> shared_access t c ~core_id ~llc_ways ~paddr
-      in
-      p.Platform.lat_l1 + l1_wb + inner
-    end
-  in
-  let total = lat_tlb + lat in
-  c.cycles <- c.cycles + total - already_charged;
-  total
+        end
+      | None -> shared_access t c ~core_id ~llc_ways ~paddr
+    in
+    p.Platform.lat_l1 + l1_wb + inner
+  end
 
-(* Returns the latency to report; cycles of it already charged by the
-   walk's own memory accesses are left in [c.walk_charged] (a scratch
-   field rather than a result tuple: this path runs once per simulated
-   access and must not allocate). *)
-and tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~pt_root ~pt_leaf =
-  let p = t.platform in
-  c.walk_charged <- 0;
+(* The first-level TLB, then the second-level one: 0 on a first-level
+   hit, [l2_tlb_hit_extra] on a second-level hit, [tlb_missed] when
+   both miss (the caller walks). *)
+let tlb_missed = -1
+
+let[@inline] tlb_lookup c ~asid ~vpn ~kind ~global =
   let first = match kind with Defs.Fetch -> c.itlb | Defs.Read | Defs.Write -> c.dtlb in
   match Tlb.access first ~asid ~vpn ~global with
   | Tlb.Hit -> 0
@@ -283,31 +272,73 @@ and tlb_latency t c ~core_id ~asid ~vpn ~kind ~global ~pt_root ~pt_leaf =
           l2_tlb_hit_extra
       | Tlb.Miss ->
           Tp_obs.Counter.incr c.st_tlb_walks;
-          if pt_root >= 0 then begin
-            (* The walk's PT reads charge the core as they run; a small
-               fixed TLB-refill overhead comes on top. *)
-            let w = walk t ~core_id ~pt_root ~pt_leaf in
-            Tp_obs.Counter.add c.st_walk_cycles w;
-            c.walk_charged <- w;
-            w + 10
-          end
-          else begin
-            Tp_obs.Counter.add c.st_walk_cycles p.Platform.tlb_walk;
-            p.Platform.tlb_walk
-          end
+          tlb_missed
     end
 
-(* The memory traffic of a hardware page-table walk: one read of the
-   root-table line, then one of the leaf-table line if there is one.
-   The walker reads page tables as data through the kernel's physical
-   window, so these are global ASID-0 reads under no CAT mask. *)
-and walk t ~core_id ~pt_root ~pt_leaf =
-  let lat = pt_read t ~core_id pt_root in
-  if pt_leaf >= 0 then lat + pt_read t ~core_id pt_leaf else lat
+(* One read of a page-table line by the hardware walker.  The walker
+   reads page tables as data through the kernel's physical window, so
+   this is a global ASID-0 read under no CAT mask; page tables do not
+   walk themselves, so its own TLB miss costs the flat walk latency.
+   Charges its latency to the core as it runs. *)
+let pt_read t c ~core_id pa =
+  Tp_obs.Counter.incr c.st_accesses;
+  let lat_tlb =
+    match
+      tlb_lookup c ~asid:0 ~vpn:(Defs.page_of pa) ~kind:Defs.Read ~global:true
+    with
+    | lat when lat = tlb_missed ->
+        let w = t.platform.Platform.tlb_walk in
+        Tp_obs.Counter.add c.st_walk_cycles w;
+        w
+    | lat -> lat
+  in
+  let total =
+    lat_tlb
+    + data_latency t c ~core_id ~llc_ways:all_ways ~vaddr:pa ~paddr:pa
+        ~kind:Defs.Read
+  in
+  c.cycles <- c.cycles + total;
+  total
 
-and pt_read t ~core_id pa =
-  access t ~core:core_id ~asid:0 ~global:true ~llc_ways:all_ways
-    ~pt_root:no_walk ~pt_leaf:no_walk ~vaddr:pa ~paddr:pa ~kind:Defs.Read
+(* Every argument is required: optional ones would box a [Some] per
+   call, and this path runs once per simulated access.
+
+   A TLB miss with a page-table root walks: one read of the root-table
+   line, then one of the leaf-table line if there is one.  The walk's
+   reads charge the core as they run, which [c.walk_charged] records
+   (a scratch field rather than a result tuple: this path must not
+   allocate) so the total charged here does not count them twice; a
+   small fixed TLB-refill overhead comes on top of the walk.  Without a
+   root the miss costs the flat [tlb_walk] latency. *)
+let access t ~core:core_id ~asid ~global ~llc_ways ~pt_root ~pt_leaf ~vaddr
+    ~paddr ~kind =
+  let c = core t core_id in
+  Tp_obs.Counter.incr c.st_accesses;
+  c.walk_charged <- 0;
+  let lat_tlb =
+    match tlb_lookup c ~asid ~vpn:(Defs.page_of vaddr) ~kind ~global with
+    | lat when lat = tlb_missed ->
+        if pt_root >= 0 then begin
+          let w = pt_read t c ~core_id pt_root in
+          let w =
+            if pt_leaf >= 0 then w + pt_read t c ~core_id pt_leaf else w
+          in
+          Tp_obs.Counter.add c.st_walk_cycles w;
+          c.walk_charged <- w;
+          w + 10
+        end
+        else begin
+          let w = t.platform.Platform.tlb_walk in
+          Tp_obs.Counter.add c.st_walk_cycles w;
+          w
+        end
+    | lat -> lat
+  in
+  let total =
+    lat_tlb + data_latency t c ~core_id ~llc_ways ~vaddr ~paddr ~kind
+  in
+  c.cycles <- c.cycles + total - c.walk_charged;
+  total
 
 let cond_branch t ~core:core_id ~asid ~vaddr ~paddr ~taken =
   let c = core t core_id in

@@ -53,7 +53,7 @@ let counters t = t.st
    the tracker table.  (If the index were [page mod slots], disjoint
    colour sets would imply disjoint slot sets and the §5.3.2 residual
    channel could not exist.) *)
-let slot_of t ~page =
+let[@inline] slot_of t ~page =
   (page lxor (page lsr 4) lxor (page lsr 9)) land (t.slots - 1)
 
 let set_enabled t b = t.enabled <- b
@@ -61,15 +61,16 @@ let enabled t = t.enabled
 
 let degree t = t.degree
 
-let on_access t ~paddr ~line ~out =
+(* Shifts, not divisions: this runs on every L1 miss. *)
+let[@inline] on_access t ~paddr ~line_bits ~out =
   if not t.enabled then 0
   else begin
-    let page = paddr / Defs.page_size in
-    let line_off = Defs.page_offset paddr / line in
+    let page = Defs.page_of paddr in
+    let line_off = Defs.page_offset paddr lsr line_bits in
     let slot = slot_of t ~page in
     let ptag = (page lsr t.slot_bits) land ((1 lsl partial_tag_bits) - 1) in
     let tr = t.table.(slot) in
-    let lines_per_page = Defs.page_size / line in
+    let lines_per_page = 1 lsl (Defs.page_bits - line_bits) in
     if tr.ptag = ptag then begin
       let delta = line_off - tr.last_line in
       if delta = tr.dir && delta <> 0 then
@@ -86,7 +87,7 @@ let on_access t ~paddr ~line ~out =
         let n = ref 0 in
         let next = ref (line_off + tr.dir) in
         while !n < t.degree && !next >= 0 && !next < lines_per_page do
-          out.(!n) <- (page * Defs.page_size) + (!next * line);
+          out.(!n) <- (page lsl Defs.page_bits) + (!next lsl line_bits);
           incr n;
           next := !next + tr.dir
         done;

@@ -44,9 +44,9 @@ val degree : t -> int
 (** Lines prefetched ahead on a confirmed stream: the most one
     {!on_access} can suggest. *)
 
-val on_access : t -> paddr:int -> line:int -> out:int array -> int
+val on_access : t -> paddr:int -> line_bits:int -> out:int array -> int
 (** Notify the prefetcher of a demand access to physical address
-    [paddr] (cache line size [line]).  Writes the physical addresses of
+    [paddr] (cache line size [1 lsl line_bits]).  Writes the physical addresses of
     the lines to prefetch to [out.(0)], ..., [out.(n - 1)] in issue
     order and returns [n] (0 when disabled or no stream is confirmed).
     [out] must hold at least {!degree} entries; the caller owns it, so

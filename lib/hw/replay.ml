@@ -113,14 +113,19 @@ let digest t =
 let replay m ~core ~asid ~llc_ways ~until ?on_latency t =
   Tp_fault.Fault.hit point_step;
   let data = t.data in
-  let note = match on_latency with None -> ignore | Some f -> f in
   let n = t.len in
   let i = ref 0 in
   let res = ref `Incomplete in
   let running = ref true in
   while !running && !i < n do
     let off = !i in
-    let tag = data.{off} in
+    (* Unchecked reads: [off + stride <= n], and [n] never exceeds the
+       blob's length. *)
+    let tag = Bigarray.Array1.unsafe_get data off in
+    let w1 = Bigarray.Array1.unsafe_get data (off + 1) in
+    let w2 = Bigarray.Array1.unsafe_get data (off + 2) in
+    let w3 = Bigarray.Array1.unsafe_get data (off + 3) in
+    let w4 = Bigarray.Array1.unsafe_get data (off + 4) in
     if tag = tag_idle then begin
       res := `Done_idle;
       running := false
@@ -135,25 +140,21 @@ let replay m ~core ~asid ~llc_ways ~until ?on_latency t =
           in
           (* A TLB-missing replayed access walks the very page-table
              lines the recorder resolved, as the live walker did. *)
-          Machine.access m ~core ~asid ~global:false ~llc_ways
-            ~pt_root:data.{off + 3} ~pt_leaf:data.{off + 4}
-            ~vaddr:data.{off + 1} ~paddr:data.{off + 2} ~kind
+          Machine.access m ~core ~asid ~global:false ~llc_ways ~pt_root:w3
+            ~pt_leaf:w4 ~vaddr:w1 ~paddr:w2 ~kind
         end
         else if tag = tag_cond_branch then
-          Machine.cond_branch m ~core ~asid ~vaddr:data.{off + 1}
-            ~paddr:data.{off + 2}
-            ~taken:(data.{off + 3} <> 0)
+          Machine.cond_branch m ~core ~asid ~vaddr:w1 ~paddr:w2
+            ~taken:(w3 <> 0)
         else if tag = tag_jump then
-          Machine.jump m ~core ~asid ~vaddr:data.{off + 1}
-            ~paddr:data.{off + 2} ~target:data.{off + 3}
-        else if tag = tag_clflush then
-          Machine.clflush m ~core ~paddr:data.{off + 1}
+          Machine.jump m ~core ~asid ~vaddr:w1 ~paddr:w2 ~target:w3
+        else if tag = tag_clflush then Machine.clflush m ~core ~paddr:w1
         else begin
-          Machine.add_cycles m ~core data.{off + 1};
-          data.{off + 1}
+          Machine.add_cycles m ~core w1;
+          w1
         end
       in
-      note lat;
+      (match on_latency with Some f -> f lat | None -> ());
       i := !i + stride;
       (* The slice-budget check live execution performs after every
          operation (Uctx.post): the op that crosses the boundary still

@@ -49,12 +49,12 @@ let sets t = t.n_sets
 
 type result = Hit | Miss
 
-let set_of t vpn = vpn land (t.n_sets - 1)
+let[@inline] set_of t vpn = vpn land (t.n_sets - 1)
 
 (* unsafe_get is in bounds by construction: the arrays hold
    [n_sets * ways] entries, [set] is masked by the pow-2 [n_sets - 1]
    and [w < ways]. *)
-let find t ~asid ~vpn =
+let[@inline] find t ~asid ~vpn =
   let base = set_of t vpn * t.g.ways in
   let vpns = t.vpns and globals = t.globals and asids = t.asids in
   let stop = base + t.g.ways in
@@ -88,7 +88,7 @@ let lru_way t set =
     if !found >= 0 then !found else !best
   end
 
-let access t ~asid ~vpn ~global =
+let[@inline] access t ~asid ~vpn ~global =
   let i = find t ~asid ~vpn in
   t.clock <- t.clock + 1;
   if i >= 0 then begin

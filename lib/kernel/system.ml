@@ -107,7 +107,7 @@ let register_kernel t ki = t.kernels <- ki :: t.kernels
 let unregister_kernel t ki =
   t.kernels <- List.filter (fun k -> k.Types.ki_id <> ki.Types.ki_id) t.kernels
 
-let per_core t c = t.cores.(c)
+let[@inline] per_core t c = t.cores.(c)
 let n_colours t = Phys.n_colours t.phys
 
 let () = List.iter Tp_fault.Fault.register [ "asid.alloc"; "asid.free" ]
@@ -200,7 +200,7 @@ let set_cat_masks t masks = t.cat_masks <- masks
 
 let cat_masks t = t.cat_masks
 
-let cat_mask_of_domain t dom =
+let[@inline] cat_mask_of_domain t dom =
   match t.cat_masks with
   | Some a when dom >= 0 && dom < Array.length a -> a.(dom)
   | Some _ | None -> max_int
@@ -228,8 +228,8 @@ let pt_index vpn = vpn lsr 9 (* 512 8-byte entries per 4 KiB table *)
    description of a walk; the machine reads the lines holding those
    entries on a TLB miss, and the replay recorder stores them. *)
 let fill_translation vs vpn =
-  (* [Hashtbl.find] rather than [find_opt]: no [Some] per refill. *)
-  match Hashtbl.find vs.Types.vs_pages vpn with
+  (* [find] rather than [find_opt]: no [Some] per refill. *)
+  match Types.Itbl.find vs.Types.vs_pages vpn with
   | exception Not_found -> raise (Types.Kernel_error Types.Invalid_capability)
   | frame ->
       let pti = pt_index vpn in
@@ -238,41 +238,41 @@ let fill_translation vs vpn =
       vs.Types.vs_tc_root_pte <-
         Phys.frame_addr vs.Types.vs_root_pt + ((pti land 511) * 8);
       vs.Types.vs_tc_leaf_pte <-
-        (match Hashtbl.find vs.Types.vs_leaf_pts pti with
+        (match Types.Itbl.find vs.Types.vs_leaf_pts pti with
         | leaf -> Phys.frame_addr leaf + ((vpn land 511) * 8)
         | exception Not_found -> -1)
 
-let translate vs vaddr =
+let[@inline] translate vs vaddr =
   let vpn = Tp_hw.Defs.page_of vaddr in
   if vpn <> vs.Types.vs_tc_vpn then fill_translation vs vpn;
   vs.Types.vs_tc_frame_pa + Tp_hw.Defs.page_offset vaddr
 
 let unmap_page vs ~vpn =
-  Hashtbl.remove vs.Types.vs_pages vpn;
+  Types.Itbl.remove vs.Types.vs_pages vpn;
   vs.Types.vs_tc_vpn <- -1
 
 let unmap_all vs =
-  Hashtbl.reset vs.Types.vs_pages;
+  Types.Itbl.reset vs.Types.vs_pages;
   vs.Types.vs_tc_vpn <- -1
 
 let map_page _t vs ~pt_alloc ~vpn ~frame =
-  assert (not (Hashtbl.mem vs.Types.vs_pages vpn));
+  assert (not (Types.Itbl.mem vs.Types.vs_pages vpn));
   let pti = pt_index vpn in
-  if not (Hashtbl.mem vs.Types.vs_leaf_pts pti) then begin
+  if not (Types.Itbl.mem vs.Types.vs_leaf_pts pti) then begin
     match pt_alloc with
-    | Some alloc -> Hashtbl.replace vs.Types.vs_leaf_pts pti (alloc ())
+    | Some alloc -> Types.Itbl.replace vs.Types.vs_leaf_pts pti (alloc ())
     | None -> raise (Types.Kernel_error Types.Invalid_address)
   end;
-  Hashtbl.replace vs.Types.vs_pages vpn frame
+  Types.Itbl.replace vs.Types.vs_pages vpn frame
 
-let pt_line t pte =
+let[@inline] pt_line t pte =
   if pte < 0 then Tp_hw.Machine.no_walk
   else pte land lnot (t.platform.Tp_hw.Platform.line - 1)
 
-let walk_root_line t vs = pt_line t vs.Types.vs_tc_root_pte
-let walk_leaf_line t vs = pt_line t vs.Types.vs_tc_leaf_pte
+let[@inline] walk_root_line t vs = pt_line t vs.Types.vs_tc_root_pte
+let[@inline] walk_leaf_line t vs = pt_line t vs.Types.vs_tc_leaf_pte
 
-let user_access t ~core tcb ~vaddr ~kind =
+let[@inline] user_access t ~core tcb ~vaddr ~kind =
   match tcb.Types.t_vspace with
   | None -> raise (Types.Kernel_error Types.Invalid_capability)
   | Some vs ->

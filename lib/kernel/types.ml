@@ -43,6 +43,17 @@ let () =
     | Kernel_error e -> Some (Printf.sprintf "Kernel_error(%s)" (error_to_string e))
     | _ -> None)
 
+(* Int-keyed hash tables with monomorphic equality and an identity
+   hash, for the page tables: a translation-cache refill looks a page
+   up on every page crossing of a user access, where the polymorphic
+   [Hashtbl] would call [caml_hash] and [compare_val]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type rights = { read : bool; write : bool; grant : bool }
 
 let full_rights = { read = true; write = true; grant = true }
@@ -94,9 +105,9 @@ and frame = {
 and vspace = {
   vs_id : int;
   mutable vs_asid : int;
-  vs_pages : (int, int) Hashtbl.t;  (** vpn -> physical frame *)
+  vs_pages : int Itbl.t;  (** vpn -> physical frame *)
   vs_root_pt : int;  (** frame of the top-level page table *)
-  vs_leaf_pts : (int, int) Hashtbl.t;
+  vs_leaf_pts : int Itbl.t;
       (** PT index (vpn / 512) -> frame of the leaf page table.  Page
           tables are dynamic kernel data in user-supplied frames, so
           colouring userland colours them too — which is what defeats

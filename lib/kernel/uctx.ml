@@ -12,7 +12,7 @@ let make sys ~core tcb ~slice_end = { sys; core; tcb; slice_end; recorder = None
 
 (* Internal clock read — used by the slice machinery itself, which is
    part of what a replay reproduces, so it must not poison. *)
-let now_ t = System.now t.sys ~core:t.core
+let[@inline] now_ t = System.now t.sys ~core:t.core
 
 (* A recorded stream replays only the body's Machine-level operations.
    Any behaviour that could make the body's op sequence depend on
@@ -35,7 +35,10 @@ let now t = taint t; now_ t
    Runs after every operation, so the common no-timer-due case must
    allocate nothing: [Irq.pending] answers it without building a list,
    and the delivery loop is only entered when something fired. *)
-let post t =
+let deliver t fired =
+  List.iter (fun irq -> Syscalls.handle_irq t.sys ~core:t.core ~irq) fired
+
+let[@inline] post t =
   let cfg = System.cfg t.sys in
   let pc = System.per_core t.sys t.core in
   (match
@@ -43,8 +46,7 @@ let post t =
        ~partitioned:cfg.Config.partition_irqs ~current:pc.System.cur_kernel
    with
   | [] -> ()
-  | fired ->
-      List.iter (fun irq -> Syscalls.handle_irq t.sys ~core:t.core ~irq) fired);
+  | fired -> deliver t fired);
   if now_ t >= t.slice_end then raise Preempted
 
 let vspace t =
@@ -52,7 +54,7 @@ let vspace t =
   | Some vs -> vs
   | None -> raise (Types.Kernel_error Types.Invalid_capability)
 
-let record_access t ~kind vaddr =
+let[@inline] record_access t ~kind vaddr =
   match t.recorder with
   | None -> ()
   | Some r ->

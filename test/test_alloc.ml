@@ -146,6 +146,10 @@ let test_paths_take_their_path () =
 
 (* ---- Uctx, through the kernel ----------------------------------- *)
 
+(* Two streams per booted domain: a line walk that stays within a page
+   for many accesses (the one-entry translation cache hits), and a
+   page-hopping one where every access lands on another page than the
+   last, so each refills the translation cache from the page tables. *)
 let test_uctx_ops_allocate_nothing () =
   List.iter
     (fun (p : Platform.t) ->
@@ -164,17 +168,95 @@ let test_uctx_ops_allocate_nothing () =
               let ctx = Uctx.make sys ~core:0 tcb ~slice_end:max_int in
               let line = p.Platform.line in
               let span = pages * Defs.page_size / line in
-              let ops () =
-                for i = 0 to n_ops - 1 do
-                  let a = buf + (i * 3 mod span * line) in
-                  if i land 3 = 0 then Uctx.write ctx a else Uctx.read ctx a
-                done
+              let lines_per_page = Defs.page_size / line in
+              let streams =
+                [
+                  ("line walk", fun i -> buf + (i * 3 mod span * line));
+                  ( "page hopping",
+                    (* 7 is coprime to the 64 pages: consecutive
+                       accesses never share a page. *)
+                    fun i ->
+                      buf
+                      + (i * 7 mod pages * Defs.page_size)
+                      + (i * 5 mod lines_per_page * line) );
+                ]
               in
-              ops ();
+              List.iter
+                (fun (name, addr) ->
+                  let ops () =
+                    for i = 0 to n_ops - 1 do
+                      let a = addr i in
+                      if i land 3 = 0 then Uctx.write ctx a else Uctx.read ctx a
+                    done
+                  in
+                  ops ();
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s, counters %b, %s: words for %d Uctx ops"
+                       p.Platform.name counters name n_ops)
+                    0 (words ops))
+                streams))
+        [ false; true ])
+    [ Platform.haswell; Platform.sabre ]
+
+(* ---- Replay ------------------------------------------------------ *)
+
+(* A recorded stream with every kind of op: accesses of each kind over
+   the llc-miss path's scattered lines (so the TLBs miss; half of them
+   walk real page-table lines, half take the flat walk cost),
+   branches, jumps, clflushes and compute, ending in the idle marker.
+   Replaying it must allocate nothing per op: the whole replay of
+   [n_ops] ops allocates 0 words. *)
+let replay_stream (p : Platform.t) =
+  let line = p.Platform.line in
+  let r = Replay.create () in
+  let addrs = (List.nth (paths p) 3).addrs in
+  for i = 0 to n_ops - 1 do
+    let a = addrs.(i) in
+    let vpn = Defs.page_of a in
+    let root_pa, leaf_pa =
+      if i land 1 = 0 then
+        ( pt_base + ((vpn lsr 9) land 511 * 8 / line * line),
+          pt_base + Defs.page_size + ((vpn land 511) * 8 / line * line) )
+      else (Machine.no_walk, Machine.no_walk)
+    in
+    let access kind =
+      Replay.append_access r ~kind ~vaddr:a ~paddr:a ~root_pa ~leaf_pa
+    in
+    match i land 7 with
+    | 0 | 1 | 2 -> access Defs.Read
+    | 3 -> access Defs.Write
+    | 4 -> access Defs.Fetch
+    | 5 -> Replay.append_cond_branch r ~vaddr:a ~paddr:a ~taken:(i land 8 = 0)
+    | 6 when i land 8 = 0 ->
+        Replay.append_jump r ~vaddr:a ~paddr:a ~target:(a + 64)
+    | 6 -> Replay.append_clflush r ~paddr:a
+    | _ -> Replay.append_add_cycles r (i land 63)
+  done;
+  Replay.append_idle r;
+  r
+
+let test_replay_allocates_nothing () =
+  List.iter
+    (fun (p : Platform.t) ->
+      let r = replay_stream p in
+      List.iter
+        (fun counters ->
+          with_counters counters (fun () ->
+              let m = Machine.create p in
+              let replay () =
+                match
+                  Replay.replay m ~core:0 ~asid:1 ~llc_ways:Machine.all_ways
+                    ~until:max_int r
+                with
+                | `Done_idle -> ()
+                | `Budget | `Incomplete ->
+                    Alcotest.fail "stream did not replay to its idle marker"
+              in
+              replay ();
               Alcotest.(check int)
-                (Printf.sprintf "%s, counters %b: words for %d Uctx ops"
-                   p.Platform.name counters n_ops)
-                0 (words ops)))
+                (Printf.sprintf "%s, counters %b: words for replaying %d ops"
+                   p.Platform.name counters (Replay.length r))
+                0 (words replay)))
         [ false; true ])
     [ Platform.haswell; Platform.sabre ]
 
@@ -246,6 +328,8 @@ let suite =
       test_paths_take_their_path;
     Alcotest.test_case "Uctx read/write allocate nothing" `Quick
       test_uctx_ops_allocate_nothing;
+    Alcotest.test_case "Replay.replay allocates nothing" `Quick
+      test_replay_allocates_nothing;
     Alcotest.test_case "shuffled MI estimate allocates nothing" `Quick
       test_shuffled_estimate_allocates_nothing;
     Alcotest.test_case "Leakage.test words bounded" `Quick

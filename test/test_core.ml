@@ -230,6 +230,45 @@ let test_fig4_driver () =
       Alcotest.(check bool) "protected sees nothing" false
         (Array.exists (fun a -> a > 0) t.Tp_attacks.Crypto.activity)
 
+(* On sabre the coloured-only kernel-channel receiver never completes a
+   measurement, so the kernel-chan row collects no samples.  `tpsim
+   bench` must report that row as failed with the harness's reason,
+   still run every other row (the sabre replay-sweep row included) and
+   exit non-zero. *)
+let test_bench_failed_row () =
+  let file = Filename.temp_file "tp_bench" ".json" in
+  let code, doc =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        let code =
+          Bench.run Quality.Quick ~seed:1 ~jobs:1 ~platforms:[ sabre ]
+            ~json_out:(Some file) ~baseline:None ()
+        in
+        ( code,
+          Tp_util.Json.parse
+            (In_channel.with_open_text file In_channel.input_all) ))
+  in
+  Alcotest.(check bool) "exit code non-zero" true (code <> 0);
+  let rows =
+    match Tp_util.Json.member "experiments" doc with
+    | Some (Tp_util.Json.Arr l) -> l
+    | _ -> Alcotest.fail "no experiments array"
+  in
+  let field k row =
+    match Tp_util.Json.member k row with
+    | Some (Tp_util.Json.Str v) -> Some v
+    | _ -> None
+  in
+  Alcotest.(check (list string))
+    "every row ran"
+    [ "kernel-chan"; "l1d-chan"; "flush-chan"; "splash-solo"; "replay-sweep" ]
+    (List.filter_map (field "name") rows);
+  Alcotest.(check (list (option string)))
+    "only kernel-chan failed, with the harness's reason"
+    [ Some "no samples collected: sample shortfall"; None; None; None; None ]
+    (List.map (field "failed") rows)
+
 let suite =
   [
     Alcotest.test_case "scenario slugs" `Quick test_scenario_slugs;
@@ -249,4 +288,5 @@ let suite =
     Alcotest.test_case "mls policy (4.3)" `Slow test_mls_policy;
     Alcotest.test_case "mls padded fraction" `Quick test_mls_padded_fraction;
     Alcotest.test_case "fig4 driver" `Quick test_fig4_driver;
+    Alcotest.test_case "bench failed row" `Slow test_bench_failed_row;
   ]

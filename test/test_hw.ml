@@ -194,7 +194,9 @@ let test_bhb_flush_resets () =
    buffer. *)
 let suggest pf ~paddr ~line =
   let out = Array.make (Prefetcher.degree pf) (-1) in
-  let n = Prefetcher.on_access pf ~paddr ~line ~out in
+  let n =
+    Prefetcher.on_access pf ~paddr ~line_bits:(Defs.log2 line) ~out
+  in
   Array.to_list (Array.sub out 0 n)
 
 let test_prefetcher_stream_detection () =
@@ -342,7 +344,9 @@ let qcheck_prefetcher_matches_reference =
           in
           cursor.(pg) <- c;
           let paddr = (pages.(pg) * 4096) + (c * line) in
-          let n = Prefetcher.on_access pf ~paddr ~line ~out in
+          let n =
+            Prefetcher.on_access pf ~paddr ~line_bits:(Defs.log2 line) ~out
+          in
           Array.to_list (Array.sub out 0 n)
           = Ref_prefetcher.on_access model ~paddr ~line)
         steps)
@@ -567,6 +571,366 @@ let qcheck_clflush_then_miss =
       ignore (Machine.clflush m ~core:0 ~paddr:a);
       plain_access m ~core:0 ~asid:1 ~addr:a ~kind:Defs.Read > 50)
 
+(* ---- Cache scans against a naive reference ------------------------ *)
+
+(* The cache as it was before its scans were specialised: a plain loop
+   for the way search and one masked scan for the victim, for every
+   associativity and mask.  [Cache] must agree with it on every return
+   value, on the victim it reports and on its whole saved state. *)
+module Ref_cache = struct
+  type t = {
+    g : Cache.geometry;
+    n_sets : int;
+    line_bits : int;
+    tags : int array;
+    dirty : bool array;
+    age : int array;
+    mutable clock : int;
+    mutable n_dirty : int;
+    mutable n_valid : int;
+    mutable ev_line : int;
+    mutable ev_dirty : bool;
+    (* Cache's counters, in their declared order: hits, misses,
+       writebacks, prefetch_fills, invalidations, flushes,
+       flush_writebacks. *)
+    ctr : int array;
+  }
+
+  let create (g : Cache.geometry) =
+    let n = g.Cache.size / g.Cache.line in
+    {
+      g;
+      n_sets = Cache.sets g;
+      line_bits = Defs.log2 g.Cache.line;
+      tags = Array.make n (-1);
+      dirty = Array.make n false;
+      age = Array.make n 0;
+      clock = 0;
+      n_dirty = 0;
+      n_valid = 0;
+      ev_line = -1;
+      ev_dirty = false;
+      ctr = Array.make 7 0;
+    }
+
+  let count t i = if Tp_obs.Ctl.counters_on () then t.ctr.(i) <- t.ctr.(i) + 1
+
+  let set_of t ~vaddr ~paddr =
+    let a =
+      match t.g.Cache.indexing with Cache.Virtual -> vaddr | Physical -> paddr
+    in
+    (a lsr t.line_bits) land (t.n_sets - 1)
+
+  let find_way t set tag =
+    let ways = t.g.Cache.ways in
+    let r = ref (-1) in
+    for w = ways - 1 downto 0 do
+      if t.tags.((set * ways) + w) = tag then r := (set * ways) + w
+    done;
+    !r
+
+  let lru_way t set mask =
+    let ways = t.g.Cache.ways in
+    let best = ref (-1) and found = ref (-1) in
+    for w = 0 to ways - 1 do
+      let i = (set * ways) + w in
+      if !found < 0 && mask land (1 lsl w) <> 0 then
+        if t.tags.(i) = -1 then found := i
+        else if !best < 0 || t.age.(i) < t.age.(!best) then best := i
+    done;
+    if !found >= 0 then !found else !best
+
+  let touch t i =
+    t.clock <- t.clock + 1;
+    t.age.(i) <- t.clock
+
+  let alloc t set tag ~dirty ~mask =
+    let i = lru_way t set mask in
+    let old = t.tags.(i) in
+    t.ev_dirty <- old <> -1 && t.dirty.(i);
+    t.ev_line <- (if old = -1 then -1 else old lsl t.line_bits);
+    if t.ev_dirty then begin
+      count t 2;
+      t.n_dirty <- t.n_dirty - 1
+    end;
+    if old = -1 then t.n_valid <- t.n_valid + 1;
+    t.tags.(i) <- tag;
+    t.dirty.(i) <- dirty;
+    if dirty then t.n_dirty <- t.n_dirty + 1;
+    touch t i
+
+  let access t ~alloc_ways ~vaddr ~paddr ~write =
+    let mask = alloc_ways land ((1 lsl t.g.Cache.ways) - 1) in
+    let set = set_of t ~vaddr ~paddr and tag = paddr lsr t.line_bits in
+    let i = find_way t set tag in
+    if i >= 0 then begin
+      count t 0;
+      touch t i;
+      if write && not t.dirty.(i) then begin
+        t.dirty.(i) <- true;
+        t.n_dirty <- t.n_dirty + 1
+      end;
+      true
+    end
+    else begin
+      count t 1;
+      alloc t set tag ~dirty:write ~mask;
+      false
+    end
+
+  let insert_clean t ~vaddr ~paddr =
+    let set = set_of t ~vaddr ~paddr and tag = paddr lsr t.line_bits in
+    if find_way t set tag >= 0 then true
+    else begin
+      count t 3;
+      alloc t set tag ~dirty:false ~mask:((1 lsl t.g.Cache.ways) - 1);
+      false
+    end
+
+  let invalidate_line t ~vaddr ~paddr =
+    if t.n_valid > 0 then begin
+      let i = find_way t (set_of t ~vaddr ~paddr) (paddr lsr t.line_bits) in
+      if i >= 0 then begin
+        count t 4;
+        if t.dirty.(i) then t.n_dirty <- t.n_dirty - 1;
+        t.dirty.(i) <- false;
+        t.tags.(i) <- -1;
+        t.n_valid <- t.n_valid - 1
+      end
+    end
+
+  let flush t =
+    let wb = t.n_dirty in
+    count t 5;
+    if Tp_obs.Ctl.counters_on () then t.ctr.(6) <- t.ctr.(6) + wb;
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    Array.fill t.age 0 (Array.length t.age) 0;
+    t.n_dirty <- 0;
+    t.n_valid <- 0;
+    wb
+
+  let reset t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    Array.fill t.age 0 (Array.length t.age) 0;
+    Array.fill t.ctr 0 (Array.length t.ctr) 0;
+    t.clock <- 0;
+    t.n_dirty <- 0;
+    t.n_valid <- 0;
+    t.ev_line <- -1;
+    t.ev_dirty <- false
+
+  (* Writes the state blob Cache.save_state writes for the same state. *)
+  let save t b =
+    let off = Blob.save_ints b 0 t.tags in
+    let off = Blob.save_bools b off t.dirty in
+    let off = Blob.save_ints b off t.age in
+    b.{off} <- t.clock;
+    b.{off + 1} <- t.n_dirty;
+    b.{off + 2} <- t.n_valid;
+    b.{off + 3} <- t.ev_line;
+    b.{off + 4} <- (if t.ev_dirty then 1 else 0);
+    Blob.save_ints b (off + 5) t.ctr
+end
+
+(* Addresses are drawn from four sets of the cache so that random
+   sequences keep them full and evicting: [vset]/[pset] pick the set
+   the virtual/physical address indexes, [tagn] which of 40 lines
+   mapping there (more than the 16 ways of the LLCs). *)
+type cache_op =
+  | Access of { vset : int; pset : int; tagn : int; write : bool; mask : int }
+  | Insert of { pset : int; tagn : int }
+  | Invalidate of { vset : int; pset : int; tagn : int }
+  | Flush
+  | Round_trip
+      (** save_state, then load_state into a second cache holding other
+          state, which carries on *)
+
+let pp_cache_op = function
+  | Access { vset; pset; tagn; write; mask } ->
+      Printf.sprintf "access(v%d,p%d,t%d,%s,mask %#x)" vset pset tagn
+        (if write then "w" else "r")
+        mask
+  | Insert { pset; tagn } -> Printf.sprintf "insert(p%d,t%d)" pset tagn
+  | Invalidate { vset; pset; tagn } ->
+      Printf.sprintf "inval(v%d,p%d,t%d)" vset pset tagn
+  | Flush -> "flush"
+  | Round_trip -> "round-trip"
+
+let gen_cache_op =
+  let open QCheck.Gen in
+  let set = int_bound 3 and tagn = int_bound 39 in
+  (* Full masks (the all-ways fast path) about as often as CAT
+     subsets. *)
+  let mask =
+    frequency
+      [
+        (3, return max_int);
+        (1, return 0xFFFF);
+        (4, int_range 1 0xFFFF);
+        (1, map (fun w -> 1 lsl w) (int_bound 15));
+      ]
+  in
+  frequency
+    [
+      ( 24,
+        map3
+          (fun (vset, pset) (tagn, write) mask ->
+            Access { vset; pset; tagn; write; mask })
+          (pair set set) (pair tagn bool) mask );
+      (6, map2 (fun pset tagn -> Insert { pset; tagn }) set tagn);
+      ( 6,
+        map3
+          (fun vset pset tagn -> Invalidate { vset; pset; tagn })
+          set set tagn );
+      (* Each costs a pass over the whole state: rarer. *)
+      (1, return Flush);
+      (1, return Round_trip);
+    ]
+
+(* Every distinct cache geometry of the platform presets: 4-, 8- and
+   16-way, virtually and physically indexed. *)
+let preset_geometries =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (p : Platform.t) ->
+         [ p.Platform.l1d; p.Platform.l1i; p.Platform.llc ]
+         @ Option.to_list p.Platform.l2)
+       Platform.all)
+
+(* Per geometry, built once: two caches for save/load round trips, the
+   reference, a fresh cache's state (loaded to start a case) and two
+   blobs.  The LLCs hold 128K lines, so allocating these per case
+   would dominate the test's run time. *)
+type cache_rig = {
+  rg : Cache.geometry;
+  mutable cur : Cache.t;
+  mutable spare : Cache.t;
+  rf : Ref_cache.t;
+  pristine : Blob.t;
+  got : Blob.t;
+  want : Blob.t;
+}
+
+let cache_rigs =
+  lazy
+    (List.map
+       (fun g ->
+         let cur = Cache.create g in
+         let words = Cache.state_words cur in
+         let pristine = Blob.create words in
+         ignore (Cache.save_state cur pristine 0 : int);
+         {
+           rg = g;
+           cur;
+           spare = Cache.create g;
+           rf = Ref_cache.create g;
+           pristine;
+           got = Blob.create words;
+           want = Blob.create words;
+         })
+       preset_geometries)
+
+(* Runs [ops] through both caches of [rig], from empty; [Error] names
+   the first disagreement. *)
+let cache_vs_reference rig ops =
+  let g = rig.rg and r = rig.rf in
+  ignore (Cache.load_state rig.cur rig.pristine 0 : int);
+  Ref_cache.reset r;
+  let n_sets = Cache.sets g and line = g.Cache.line in
+  (* The mask must allow some way of this geometry. *)
+  let mask_of m =
+    if m land ((1 lsl g.Cache.ways) - 1) = 0 then max_int else m
+  in
+  let addr set tagn = ((tagn * n_sets) + set) * line in
+  let check step op what a b =
+    if a = b then Ok ()
+    else
+      Error
+        (Printf.sprintf "step %d (%s): %s differs" step (pp_cache_op op) what)
+  in
+  let ( >>= ) = Result.bind in
+  let rec go step = function
+    | [] ->
+        ignore (Cache.save_state rig.cur rig.got 0 : int);
+        ignore (Ref_cache.save r rig.want : int);
+        let n = Blob.length rig.got in
+        let i = ref 0 in
+        while !i < n && rig.got.{!i} = rig.want.{!i} do
+          incr i
+        done;
+        if !i = n then Ok ()
+        else Error (Printf.sprintf "final state blob differs at word %d" !i)
+    | op :: rest ->
+        let c = rig.cur in
+        let check what = check step op what in
+        let victim () =
+          check "last_evicted" (Cache.last_evicted c) r.Ref_cache.ev_line
+          >>= fun () ->
+          check "last_evicted_dirty"
+            (Cache.last_evicted_dirty c)
+            r.Ref_cache.ev_dirty
+        in
+        (match op with
+        | Access { vset; pset; tagn; write; mask } ->
+            let vaddr = addr vset tagn and paddr = addr pset tagn in
+            let alloc_ways = mask_of mask in
+            check "hit"
+              (Cache.access_masked_fast c ~alloc_ways ~vaddr ~paddr ~write)
+              (Ref_cache.access r ~alloc_ways ~vaddr ~paddr ~write)
+            >>= victim
+        | Insert { pset; tagn } ->
+            let a = addr pset tagn in
+            check "hit"
+              (Cache.insert_clean_fast c ~vaddr:a ~paddr:a)
+              (Ref_cache.insert_clean r ~vaddr:a ~paddr:a)
+            >>= victim
+        | Invalidate { vset; pset; tagn } ->
+            let vaddr = addr vset tagn and paddr = addr pset tagn in
+            Cache.invalidate_line c ~vaddr ~paddr;
+            Ref_cache.invalidate_line r ~vaddr ~paddr;
+            check "valid lines" (Cache.valid_lines c) r.Ref_cache.n_valid
+        | Flush -> check "flush writebacks" (Cache.flush c) (Ref_cache.flush r)
+        | Round_trip ->
+            let n = Cache.save_state c rig.got 0 in
+            check "load_state offset" (Cache.load_state rig.spare rig.got 0) n
+            >>= fun () ->
+            rig.cur <- rig.spare;
+            rig.spare <- c;
+            Ok ())
+        >>= fun () -> go (step + 1) rest
+  in
+  go 0 ops
+
+let qcheck_cache_matches_reference =
+  QCheck.Test.make ~name:"cache scans = naive reference (all presets)"
+    ~count:100
+    QCheck.(
+      pair bool
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map pp_cache_op ops))
+           ~shrink:Shrink.list
+           Gen.(list_size (int_range 1 300) gen_cache_op)))
+    (fun (counters, ops) ->
+      let was = Tp_obs.Ctl.counters_on () in
+      Tp_obs.Ctl.set_counters counters;
+      let res =
+        Fun.protect
+          ~finally:(fun () -> Tp_obs.Ctl.set_counters was)
+          (fun () ->
+            List.filter_map
+              (fun rig ->
+                match cache_vs_reference rig ops with
+                | Ok () -> None
+                | Error e ->
+                    Some (Format.asprintf "%a: %s" Cache.pp_geometry rig.rg e))
+              (Lazy.force cache_rigs))
+      in
+      match res with
+      | [] -> true
+      | errs -> QCheck.Test.fail_report (String.concat "\n" errs))
+
 let test_platform_table1 () =
   let h = Platform.haswell in
   Alcotest.(check int) "haswell colours (L2)" 8 (Platform.colours h);
@@ -665,4 +1029,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_access_after_access_hits;
     QCheck_alcotest.to_alcotest qcheck_tlb_occupancy;
     QCheck_alcotest.to_alcotest qcheck_prefetcher_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_cache_matches_reference;
   ]
